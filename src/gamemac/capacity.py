@@ -10,7 +10,7 @@ Three families of results live here:
   minimized over ``delta``;
 * a randomized inner bound on the capacity region, tracing the boundary by
   maximizing weighted pentagon vertices over product input distributions
-  with alternating projected-gradient ascent;
+  with alternating Blahut–Arimoto block updates;
 * closed-form achievable rates for channels built from linear-system games,
   plus constructors for those games and for clause/variable games built
   from 3-CNF formulas.
@@ -33,6 +33,14 @@ from .games import Game, PromisedGame, promise_free
 
 _INV_LN2 = 1.0 / math.log(2.0)
 _TINY = 1e-300
+
+# Optimizer stopping rules: a block row stops once its Blahut–Arimoto step is
+# shorter than _STEP_TOL (or after _MAX_ITER updates); a restart stops once a
+# sweep over both blocks gains less than _SWEEP_TOL (or after _MAX_SWEEPS).
+_STEP_TOL = 1e-7
+_MAX_ITER = 10_000
+_SWEEP_TOL = 1e-10
+_MAX_SWEEPS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +155,15 @@ def _bound_at(delta: float, omega: float, log_d: float) -> tuple[float, float]:
     return max((1.0 - eps.value) * log_d, log_d - delta), eps.value
 
 
-def sum_rate_upper_bound(
-    g: Game, omega_u, grid_points: int = 1000
-) -> UpperBoundResult:
+def sum_rate_upper_bound(g: Game, omega_u) -> UpperBoundResult:
     """Best analytic sum-rate upper bound for the channel compiled from ``g``.
 
     Minimizes ``u(delta) = max{(1 - eps*(delta)) log d, log d - delta}`` over
     ``delta in (0, -log2(omega))``, where ``d = nx1 * nx2`` and ``omega_u``
     is the game's classical value under uniform questions (or any valid
     upper bound on it; the caller supplies it).  The curve is unimodal (one
-    branch rises, the other falls), so a coarse grid scan followed by a
-    golden-section refinement finds the minimum.
+    branch rises, the other falls), so golden-section search over the whole
+    interval finds the minimum.
 
     Raises:
         ValueError: If ``omega_u`` is 1 (no nontrivial bound exists) or
@@ -169,14 +175,8 @@ def sum_rate_upper_bound(
     if not 0.0 < w < 1.0:
         raise ValueError(f"omega must lie in (0, 1), got {w!r}")
     log_d = _log_dim(g)
-    d_max = -math.log2(w)
-    grid = np.linspace(0.0, d_max, grid_points + 2)[1:-1]
-    values = [_bound_at(d, w, log_d)[0] for d in grid]
-    i = int(np.argmin(values))
-    lo = grid[i - 1] if i > 0 else grid[0] * 0.5
-    hi = grid[i + 1] if i + 1 < len(grid) else 0.5 * (grid[-1] + d_max)
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = 0.0, -math.log2(w)
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = _bound_at(c, w, log_d)[0], _bound_at(d, w, log_d)[0]
@@ -228,21 +228,17 @@ class InnerPoint:
 
 @dataclasses.dataclass(frozen=True)
 class RegionBound:
-    """A rate-region boundary, ordered from the R1 axis to the R2 axis.
+    """An inner-bound boundary of a rate region, from the R1 axis to the R2 axis.
 
     ``vertices`` is a convex chain with R1 nonincreasing and R2 nondecreasing;
-    ``kind`` is one of ``inner``, ``outer-pentagon``, ``analytic-sum-cap``.
-    For inner bounds, ``witnesses`` records every evaluated pentagon corner
-    with the input distribution achieving it.
+    ``witnesses`` records every evaluated pentagon corner with the input
+    distribution achieving it.
     """
 
     vertices: tuple[tuple[float, float], ...]
-    kind: str
-    witnesses: tuple[InnerPoint, ...] = ()
+    witnesses: tuple[InnerPoint, ...]
 
     def __post_init__(self):
-        if self.kind not in ("inner", "outer-pentagon", "analytic-sum-cap"):
-            raise ValueError(f"unknown region kind {self.kind!r}")
         if not self.vertices:
             raise ValueError("a region needs at least one vertex")
         for (r1a, r2a), (r1b, r2b) in zip(self.vertices, self.vertices[1:]):
@@ -332,71 +328,46 @@ class _BlockContext:
         return grad
 
 
-def _objective(pa, pb, chan, rowent, coeffs):
-    """Full objective for aligned batches; used for sweep-level bookkeeping."""
-    return _BlockContext(pb, chan, rowent, coeffs).objective(pa, np.arange(len(pa)))
+def _ascend_block(pa, ctx: _BlockContext):
+    """Batched Blahut–Arimoto ascent over one sender's distributions.
 
-
-def _project_rows(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    k = np.arange(1, v.shape[1] + 1)
-    cond = u - css / k > 0.0
-    rho = cond.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(len(v)), rho] / (rho + 1)
-    return np.maximum(v - theta[:, None], 0.0)
-
-
-def _ascend_block(pa, ctx: _BlockContext, step_tol=1e-9, max_iter=10_000):
-    """Batched projected-gradient ascent over one sender's distributions.
-
-    Every batch row carries its own step size and backtracks independently
-    (halving until the objective improves, growing gently after a first-try
-    success), so row trajectories do not depend on how rows are grouped into
-    batches.  A row stops once its projected step falls below ``step_tol``
-    or no improving step remains.
+    With the other sender frozen the objective is
+    ``alpha I(A;Z) + beta I(A;Z|B)`` plus a term linear in ``pa``, so it is
+    concave and the multiplicative update ``p <- p 2^(grad / (alpha + beta))``
+    (normalized per row) climbs it monotonically with no step size.  When
+    ``alpha + beta = 0`` the objective is linear and each row moves to the
+    vertex of its largest gradient entry.  Rows are updated independently,
+    so their trajectories do not depend on how rows are batched; a row stops
+    once its Euclidean step falls below ``_STEP_TOL``.
     """
     all_rows = np.arange(len(pa))
-    f = ctx.objective(pa, all_rows)
-    eta = np.ones(len(pa))
+    weight = ctx.coeffs[0] + ctx.coeffs[1]
+    if weight == 0.0:
+        best = np.argmax(ctx.gradient(pa, all_rows), axis=1)
+        pa = np.zeros_like(pa)
+        pa[all_rows, best] = 1.0
+        return pa, ctx.objective(pa, all_rows)
     frozen = np.zeros(len(pa), dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         live = np.nonzero(~frozen)[0]
         if len(live) == 0:
             break
-        pal, fl, el = pa[live], f[live], eta[live]
+        pal = pa[live]
         grad = ctx.gradient(pal, live)
-        cand, fc = pal.copy(), fl.copy()
-        accepted = np.zeros(len(live), dtype=bool)
-        first_try = np.zeros(len(live), dtype=bool)
-        for attempt in range(80):
-            act = np.nonzero(~accepted)[0]
-            if len(act) == 0:
-                break
-            trial = _project_rows(pal[act] + el[act, None] * grad[act])
-            ft = ctx.objective(trial, live[act])
-            ok = ft > fl[act] + 1e-15
-            cand[act[ok]] = trial[ok]
-            fc[act[ok]] = ft[ok]
-            accepted[act[ok]] = True
-            if attempt == 0:
-                first_try[act[ok]] = True
-            el[act[~ok]] *= 0.5
-            accepted[act[~ok]] |= el[act[~ok]] < 1e-14  # keep the current point
-        step = np.sqrt(((cand - pal) ** 2).sum(axis=1))
-        pa[live], f[live] = cand, fc
-        eta[live] = np.where(first_try, np.minimum(el * 1.5, 1e6), el)
-        frozen[live[step < step_tol]] = True
-    return pa, f
+        new = pal * np.exp2((grad - grad.max(axis=1, keepdims=True)) / weight)
+        new /= new.sum(axis=1, keepdims=True)
+        step = np.sqrt(((new - pal) ** 2).sum(axis=1))
+        pa[live] = new
+        frozen[live[step < _STEP_TOL]] = True
+    return pa, ctx.objective(pa, all_rows)
 
 
-def _alternate(pa, pb, ws: _Workspace, coeffs, sweep_tol=1e-10, max_sweeps=500):
+def _alternate(pa, pb, ws: _Workspace, coeffs):
     """Alternating coordinate ascent over the two input distributions."""
     coeffs_t = (coeffs[0], coeffs[2], coeffs[1], coeffs[3])
     f_prev = np.full(len(pa), -np.inf)
     active = np.ones(len(pa), dtype=bool)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         idx = np.nonzero(active)[0]
         if len(idx) == 0:
             break
@@ -405,7 +376,7 @@ def _alternate(pa, pb, ws: _Workspace, coeffs, sweep_tol=1e-10, max_sweeps=500):
         ctx_b = _BlockContext(sub_a, ws.chan_t, ws.rowent_t, coeffs_t)
         sub_b, f = _ascend_block(sub_b, ctx_b)
         pa[idx], pb[idx] = sub_a, sub_b
-        done = f - f_prev[idx] < sweep_tol
+        done = f - f_prev[idx] < _SWEEP_TOL
         f_prev[idx] = f
         active[idx[done]] = False
     return pa, pb
@@ -453,11 +424,15 @@ def _corner_points(pent: Pentagon) -> tuple[tuple[float, float], tuple[float, fl
 def _convex_hull(points: Sequence[tuple[float, float]]):
     """Monotone-chain convex hull, counterclockwise.
 
-    Points are merged below 1e-9 and near-collinear vertices dropped, so
-    restarts that converged to the same optimum up to float noise yield one
-    hull vertex.
+    Points that agree to 9 decimals are merged onto the smallest of them and
+    near-collinear vertices dropped, so restarts that converged to the same
+    optimum up to float noise yield one hull vertex, and every vertex is one
+    of the given points.
     """
-    pts = sorted({(round(x, 9), round(y, 9)) for x, y in points})
+    merged = {}
+    for x, y in sorted(points):
+        merged.setdefault((round(x, 9), round(y, 9)), (x, y))
+    pts = list(merged.values())
     if len(pts) <= 2:
         return pts
 
@@ -514,11 +489,11 @@ def inner_bound(
 
     For each weight ``mu`` on a uniform grid in ``[0, 1]`` the optimizer
     maximizes ``mu R1 + (1 - mu) R2`` at the dominant pentagon corner over
-    product input distributions, using alternating projected-gradient ascent
-    from ``restarts`` flat-Dirichlet initializations.  Every evaluated corner
-    is achievable, so the convex hull of the collected rate pairs (closed
-    under silencing either sender) is a certified inner bound regardless of
-    optimizer quality.
+    product input distributions, using alternating Blahut–Arimoto block
+    updates from ``restarts`` flat-Dirichlet initializations.  Every
+    evaluated corner is achievable, so the convex hull of the collected rate
+    pairs (closed under silencing either sender) is a certified inner bound
+    regardless of optimizer quality.
 
     Deterministic for a fixed seed and restart count, independent of
     ``workers``; results are merged in (weight, restart) order.
@@ -551,7 +526,7 @@ def inner_bound(
             witnesses.append(InnerPoint(d1[0], d1[1], q, "r1-priority", tag, r))
             witnesses.append(InnerPoint(d2[0], d2[1], q, "r2-priority", tag, r))
     chain = _boundary_chain([(w.r1, w.r2) for w in witnesses])
-    return RegionBound(tuple(chain), "inner", tuple(witnesses))
+    return RegionBound(tuple(chain), tuple(witnesses))
 
 
 def sum_capacity_lower_bound(
@@ -559,22 +534,16 @@ def sum_capacity_lower_bound(
 ) -> tuple[float, ProductInput]:
     """Best total-rate point found by maximizing I(A,B;Z) over product inputs.
 
-    Same optimizer as :func:`inner_bound` with the weight folded into the
-    plain sum objective.  Returns the value in bits and the achieving input;
-    any returned value is achievable, so it lower-bounds the sum capacity.
+    Runs the weight ``mu = 0.5`` of :func:`inner_bound`, whose objective is
+    half the sum rate, and keeps the best restart (the first one on ties).
+    Returns the value in bits and the achieving input; any returned value is
+    achievable, so it lower-bounds the sum capacity.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    ws = _Workspace(n)
-    pa, pb = _dirichlet_inits(seed, 0, restarts, n.na, n.nb)
-    pa, pb = _alternate(pa, pb, ws, (1.0, 0.0, 0.0, 1.0))
-    best_val, best_q = -1.0, None
-    for r in range(restarts):
-        q = ProductInput(pa[r], pb[r])
-        val = pentagon(n, q).sum_max
-        if val > best_val:
-            best_val, best_q = val, q
-    return best_val, best_q
+    results = _optimize_tag(n, _Workspace(n), 0.5, seed, 0, restarts)
+    _, best_q, best_pent = max(results, key=lambda res: (res[2].sum_max, -res[0]))
+    return best_pent.sum_max, best_q
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +557,7 @@ class LsgRates:
     ``p_l`` is the losing probability of the coding strategy and ``f_d`` the
     total-variation defect of the question distribution conditioned on
     winning; both vanish for perfect strategies, giving
-    ``(log2 m, log2 n)``.
+    ``(log2 m, log2 n)``.  Both rates are nonnegative.
     """
 
     m: int
@@ -599,6 +568,8 @@ class LsgRates:
     r2: float
 
     def __post_init__(self):
+        if self.r1 < 0.0 or self.r2 < 0.0:
+            raise ValueError("rates must be nonnegative")
         if self.r1 > math.log2(self.m) + 1e-12:
             raise ValueError("r1 exceeds log2(m)")
         if self.r2 > math.log2(self.n) + 1e-12:
@@ -610,7 +581,8 @@ def lsg_rates(m: int, n: int, p_l: float, f_d: float) -> LsgRates:
 
     ``R1 = (1-p_l) log2 m - (1-p_l)(f_d log2(nm-1) + h(f_d))
     - (p_l/2) log2(nm-1) - h(p_l)`` and symmetrically for ``R2`` with
-    ``log2 n``.
+    ``log2 n``.  A rate the formula puts below zero is reported as 0, since
+    zero rate is always achievable.
     """
     if m < 2 or n < 2:
         raise ValueError("m and n must be at least 2")
@@ -621,8 +593,8 @@ def lsg_rates(m: int, n: int, p_l: float, f_d: float) -> LsgRates:
     log_nm1 = math.log2(n * m - 1)
     defect = (1.0 - p_l) * (f_d * log_nm1 + binary_entropy(f_d))
     floor = (p_l / 2.0) * log_nm1 + binary_entropy(p_l)
-    r1 = (1.0 - p_l) * math.log2(m) - defect - floor
-    r2 = (1.0 - p_l) * math.log2(n) - defect - floor
+    r1 = max((1.0 - p_l) * math.log2(m) - defect - floor, 0.0)
+    r2 = max((1.0 - p_l) * math.log2(n) - defect - floor, 0.0)
     return LsgRates(m, n, p_l, f_d, r1, r2)
 
 

@@ -2,9 +2,11 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gamemac import (
     Mac,
@@ -26,7 +28,14 @@ from gamemac import (
     write_region_dat,
     write_upper_bound_curve,
 )
-from gamemac.capacity import _BlockContext, _Workspace, _objective, _project_rows
+from gamemac import capacity
+from gamemac.capacity import (
+    LsgRates,
+    _ascend_block,
+    _BlockContext,
+    _vertex_coeffs,
+    _Workspace,
+)
 from conftest import random_game
 
 LOG9 = math.log2(9)
@@ -169,15 +178,52 @@ class TestSumRateUpperBound:
         assert u.min() == pytest.approx(3.13694, abs=1e-3)
 
 
+def _block(seed, mu, transposed, rows=4):
+    """A random small channel's block context at weight ``mu``, and a start batch.
+
+    ``transposed`` selects the second sender's block, optimized with the first
+    sender frozen, as the alternating driver does.
+    """
+    rng = np.random.default_rng(seed)
+    ws = _Workspace(mac_from_game(random_game(rng, max_size=3)))
+    coeffs = _vertex_coeffs(mu)
+    pa = rng.dirichlet(np.ones(ws.chan.shape[0]), size=rows)
+    pb = rng.dirichlet(np.ones(ws.chan.shape[1]), size=rows)
+    if transposed:
+        coeffs_t = (coeffs[0], coeffs[2], coeffs[1], coeffs[3])
+        return _BlockContext(pa, ws.chan_t, ws.rowent_t, coeffs_t), pb
+    return _BlockContext(pb, ws.chan, ws.rowent, coeffs), pa
+
+
 class TestOptimizerInternals:
-    def test_projection_onto_simplex(self, rng):
-        v = rng.normal(size=(50, 7))
-        proj = _project_rows(v)
-        assert (proj >= 0).all()
-        assert np.abs(proj.sum(axis=1) - 1.0).max() < 1e-12
-        # projecting a simplex point is the identity
-        pts = rng.dirichlet(np.ones(7), size=20)
-        assert np.abs(_project_rows(pts) - pts).max() < 1e-12
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mu=st.floats(0.0, 1.0),
+        transposed=st.booleans(),
+    )
+    def test_block_update_never_lowers_objective(self, seed, mu, transposed):
+        ctx, p = _block(seed, mu, transposed)
+        rows = np.arange(len(p))
+        before = ctx.objective(p, rows)
+        with mock.patch.object(capacity, "_MAX_ITER", 1):
+            p, after = _ascend_block(p.copy(), ctx)
+        assert np.allclose(p.sum(axis=1), 1.0) and (p >= 0.0).all()
+        assert np.array_equal(after, ctx.objective(p, rows))
+        assert (after >= before - 1e-12).all()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), transposed=st.booleans())
+    def test_linear_block_moves_to_best_vertex(self, seed, transposed):
+        # the first sender is silenced at mu = 0, the second at mu = 1: their
+        # blocks are linear, and the update jumps straight to a vertex
+        ctx, p = _block(seed, 1.0 if transposed else 0.0, transposed)
+        assert ctx.coeffs[0] + ctx.coeffs[1] == 0.0
+        rows = np.arange(len(p))
+        p, f = _ascend_block(p, ctx)
+        assert ((p == 0.0) | (p == 1.0)).all() and (p.sum(axis=1) == 1.0).all()
+        for vertex in np.eye(p.shape[1]):
+            assert (f >= ctx.objective(np.tile(vertex, (len(p), 1)), rows)).all()
 
     def test_gradient_matches_finite_differences(self, rng):
         g = random_game(rng, max_size=3)
@@ -210,8 +256,9 @@ class TestOptimizerInternals:
         coeffs_t = (coeffs[0], coeffs[2], coeffs[1], coeffs[3])
         pa = rng.dirichlet(np.ones(n.na), size=4)
         pb = rng.dirichlet(np.ones(n.nb), size=4)
-        direct = _objective(pa, pb, ws.chan, ws.rowent, coeffs)
-        swapped = _objective(pb, pa, ws.chan_t, ws.rowent_t, coeffs_t)
+        rows = np.arange(4)
+        direct = _BlockContext(pb, ws.chan, ws.rowent, coeffs).objective(pa, rows)
+        swapped = _BlockContext(pa, ws.chan_t, ws.rowent_t, coeffs_t).objective(pb, rows)
         assert np.abs(direct - swapped).max() < 1e-12
 
 
@@ -258,18 +305,14 @@ class TestInnerBound:
             assert r2b >= r2a - 1e-12
 
     def test_hull_vertices_trace_back_to_witnesses(self):
-        # every hull vertex is a recorded achievable corner, an axis
-        # projection of one (silencing a sender), or the origin
+        # every hull vertex is achievable: the origin, or dominated
+        # componentwise by a recorded corner (silencing a sender reaches
+        # its axis projections), with no rounding slack
         region = inner_bound(mac_from_game(chsh_game()), restarts=4, seed=1,
                              mu_points=9)
         for r1, r2 in region.vertices:
-
-            def near(p, q):
-                return abs(p - r1) + abs(q - r2) < 1e-9
-
-            assert near(0.0, 0.0) or any(
-                near(w.r1, w.r2) or near(w.r1, 0.0) or near(0.0, w.r2)
-                for w in region.witnesses
+            assert (r1, r2) == (0.0, 0.0) or any(
+                r1 <= w.r1 and r2 <= w.r2 for w in region.witnesses
             )
 
 
@@ -332,13 +375,27 @@ class TestLsgRates:
         assert rates.r1 == pytest.approx(expected, abs=1e-12)
         assert rates.r2 == pytest.approx(expected, abs=1e-12)
 
+    @staticmethod
+    def assert_decreasing_to_zero(values):
+        # strictly decreasing while positive, then held at exactly 0
+        positive = [v for v in values if v > 0.0]
+        assert all(a > b for a, b in zip(positive, positive[1:]))
+        assert values == positive + [0.0] * (len(values) - len(positive))
+
     def test_monotone_in_losing_probability(self):
         values = [lsg_rates(8, 8, pl, 0.0).r1 for pl in np.arange(0.0, 0.41, 0.01)]
-        assert all(a > b for a, b in zip(values, values[1:]))
+        self.assert_decreasing_to_zero(values)
 
     def test_monotone_in_defect(self):
         values = [lsg_rates(8, 8, 0.0, fd).r1 for fd in np.arange(0.0, 0.51, 0.01)]
-        assert all(a > b for a, b in zip(values, values[1:]))
+        self.assert_decreasing_to_zero(values)
+
+    def test_rates_are_clamped_at_zero(self):
+        # the formula gives -0.994 bits here; zero rate is always achievable
+        rates = lsg_rates(8, 8, 0.5, 0.0)
+        assert (rates.r1, rates.r2) == (0.0, 0.0)
+        with pytest.raises(ValueError):
+            LsgRates(8, 8, 0.5, 0.0, -0.1, 0.0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
