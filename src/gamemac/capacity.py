@@ -16,14 +16,14 @@ Three families of results live here:
   from 3-CNF formulas.
 
 All rates are in bits.  Every randomized routine takes an explicit seed and
-is deterministic for a fixed seed, independent of worker count.
+is deterministic for a fixed seed and fixed restart and weight counts.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -216,7 +216,13 @@ def upper_bound_curve(g: Game, omega_u, points: int = 200) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class InnerPoint:
-    """An achievable rate pair with its witnessing input distribution."""
+    """An achievable rate pair with its witnessing input distribution.
+
+    ``converged`` is False when the optimizer run that found ``input``
+    stopped at an iteration cap (``_MAX_ITER`` updates in some block, or
+    ``_MAX_SWEEPS`` sweeps) instead of meeting its stopping tolerance; the
+    rate pair is achievable either way.
+    """
 
     r1: float
     r2: float
@@ -224,6 +230,7 @@ class InnerPoint:
     corner: str
     mu_index: int
     restart: int
+    converged: bool
 
 
 @dataclasses.dataclass(frozen=True)
@@ -267,15 +274,22 @@ class _Workspace:
         self.rowent_t = np.ascontiguousarray(self.rowent.T)
 
 
-def _vertex_coeffs(mu: float) -> tuple[float, float, float, float]:
+def _vertex_coeffs(mu):
     """Coefficients (alpha, beta, gamma, kappa) of the weighted objective.
 
     The objective ``mu * R1 + (1 - mu) * R2`` at the dominant pentagon corner
     expands into ``alpha H(Z) + beta H(Z|B) + gamma H(Z|A) - kappa H(Z|AB)``.
+    ``mu`` may be a scalar or an array of weights, one per batch row; each
+    coefficient then has the shape of ``mu``.
     """
-    if mu >= 0.5:
-        return (1.0 - mu, 2.0 * mu - 1.0, 0.0, mu)
-    return (mu, 0.0, 1.0 - 2.0 * mu, 1.0 - mu)
+    mu = np.asarray(mu, dtype=float)
+    high = mu >= 0.5
+    return (
+        np.where(high, 1.0 - mu, mu),
+        np.where(high, 2.0 * mu - 1.0, 0.0),
+        np.where(high, 0.0, 1.0 - 2.0 * mu),
+        np.where(high, mu, 1.0 - mu),
+    )
 
 
 class _BlockContext:
@@ -284,109 +298,147 @@ class _BlockContext:
     With the other sender's batch ``pb`` frozen, the per-input output
     distributions ``cond_a[r, a] = sum_b pb[r, b] N(.|a, b)``, their
     entropies, and the linear noise-floor term are all constant, leaving
-    only small per-candidate work inside the ascent loop.
+    only small per-candidate work inside the ascent loop.  Each coefficient
+    is a scalar or one value per row; a term is skipped only when its
+    coefficient is zero on every row.
     """
 
     def __init__(self, pb, chan, rowent, coeffs):
-        self.coeffs = coeffs
         na, nb, nz = chan.shape
         self.nb, self.nz = nb, nz
-        self.pb = pb
         self.chan_flat = chan.reshape(na, nb * nz)
-        _, _, gamma, kappa = coeffs
+        _, _, gamma, kappa = (np.asarray(c, dtype=float)[..., None] for c in coeffs)
         cond = pb @ chan.transpose(1, 0, 2).reshape(nb, na * nz)
-        self.cond_a = cond.reshape(len(pb), na, nz)
-        self.lin = kappa * (pb @ rowent.T)  # noise-floor term, linear in pa
-        if gamma:
-            self.lin = self.lin - gamma * _row_entropies(self.cond_a)
+        cond_a = cond.reshape(len(pb), na, nz)
+        lin = kappa * (pb @ rowent.T)  # noise-floor term, linear in pa
+        if gamma.any():
+            lin = lin - gamma * _row_entropies(cond_a)
+        self._set_rows(pb, cond_a, lin, coeffs)
 
-    def objective(self, pa, rows):
-        """Objective values for candidate rows ``pa`` aligned with ``rows``."""
-        alpha, beta, _, _ = self.coeffs
-        out = -(pa * self.lin[rows]).sum(axis=1)
-        if alpha:
-            pz = np.matmul(pa[:, None, :], self.cond_a[rows])[:, 0, :]
-            out = out + alpha * _row_entropies(pz)
-        if beta:
+    def _set_rows(self, pb, cond_a, lin, coeffs):
+        self.pb, self.cond_a, self.lin, self.coeffs = pb, cond_a, lin, coeffs
+        alpha, beta = (np.asarray(c, dtype=float) for c in coeffs[:2])
+        self.alpha = alpha if alpha.any() else None
+        self.beta = beta if beta.any() else None
+
+    def restrict(self, rows):
+        """The same block for the rows ``rows`` of this batch only."""
+        sub = copy.copy(self)
+        coeffs = tuple(c[rows] if np.ndim(c) else c for c in self.coeffs)
+        sub._set_rows(self.pb[rows], self.cond_a[rows], self.lin[rows], coeffs)
+        return sub
+
+    def objective(self, pa, rows=None):
+        """Objective values for candidate rows ``pa``, one per batch row.
+
+        With ``rows`` given, ``pa`` is aligned with those rows of the batch.
+        """
+        if rows is not None:
+            return self.restrict(rows).objective(pa)
+        out = -(pa * self.lin).sum(axis=1)
+        if self.alpha is not None:
+            pz = np.matmul(pa[:, None, :], self.cond_a)[:, 0, :]
+            out = out + self.alpha * _row_entropies(pz)
+        if self.beta is not None:
             q = (pa @ self.chan_flat).reshape(len(pa), self.nb, self.nz)
-            out = out + beta * (self.pb[rows] * _row_entropies(q)).sum(axis=1)
+            out = out + self.beta * (self.pb * _row_entropies(q)).sum(axis=1)
         return out
 
-    def gradient(self, pa, rows):
-        alpha, beta, _, _ = self.coeffs
-        grad = -self.lin[rows]
-        cond = self.cond_a[rows]
-        if alpha:
-            pz = np.matmul(pa[:, None, :], cond)[:, 0, :]
+    def gradient(self, pa, rows=None):
+        """Gradient of :meth:`objective` with respect to ``pa``."""
+        if rows is not None:
+            return self.restrict(rows).gradient(pa)
+        grad = -self.lin
+        if self.alpha is not None:
+            pz = np.matmul(pa[:, None, :], self.cond_a)[:, 0, :]
             lg = np.where(pz > 0.0, np.log2(np.maximum(pz, _TINY)), 0.0) + _INV_LN2
-            grad = grad - alpha * np.matmul(cond, lg[:, :, None])[:, :, 0]
-        if beta:
+            back = np.matmul(self.cond_a, lg[:, :, None])[:, :, 0]
+            grad = grad - self.alpha[..., None] * back
+        if self.beta is not None:
             q = (pa @ self.chan_flat).reshape(len(pa), self.nb, self.nz)
             lg = np.where(q > 0.0, np.log2(np.maximum(q, _TINY)), 0.0) + _INV_LN2
-            weighted = (self.pb[rows][:, :, None] * lg).reshape(len(pa), -1)
-            grad = grad - beta * (weighted @ self.chan_flat.T)
+            weighted = (self.pb[:, :, None] * lg).reshape(len(pa), -1)
+            grad = grad - self.beta[..., None] * (weighted @ self.chan_flat.T)
         return grad
 
 
-def _ascend_block(pa, ctx: _BlockContext):
+def _ascend_block(pa, ctx: _BlockContext, capped=None):
     """Batched Blahut–Arimoto ascent over one sender's distributions.
 
     With the other sender frozen the objective is
     ``alpha I(A;Z) + beta I(A;Z|B)`` plus a term linear in ``pa``, so it is
     concave and the multiplicative update ``p <- p 2^(grad / (alpha + beta))``
-    (normalized per row) climbs it monotonically with no step size.  When
-    ``alpha + beta = 0`` the objective is linear and each row moves to the
-    vertex of its largest gradient entry.  Rows are updated independently,
-    so their trajectories do not depend on how rows are batched; a row stops
-    once its Euclidean step falls below ``_STEP_TOL``.
+    (normalized per row, with each row's own ``alpha + beta``) climbs it
+    monotonically with no step size.  Rows with ``alpha + beta = 0`` have a
+    linear objective and move to the vertex of their largest gradient entry.
+    A row stops once its Euclidean step falls below ``_STEP_TOL``; rows
+    still moving after ``_MAX_ITER`` updates are marked in the boolean array
+    ``capped``, when one is given.
+
+    Rows follow the same update whatever else is in the batch, but BLAS may
+    round a matrix product differently for different batch shapes, so a
+    row's result can differ in the last bits between batchings; for a fixed
+    batch it is deterministic.  Returns the updated rows and their objective.
     """
-    all_rows = np.arange(len(pa))
-    weight = ctx.coeffs[0] + ctx.coeffs[1]
-    if weight == 0.0:
-        best = np.argmax(ctx.gradient(pa, all_rows), axis=1)
-        pa = np.zeros_like(pa)
-        pa[all_rows, best] = 1.0
-        return pa, ctx.objective(pa, all_rows)
-    frozen = np.zeros(len(pa), dtype=bool)
+    weight = np.broadcast_to(ctx.coeffs[0] + ctx.coeffs[1], len(pa))
+    vertex = np.nonzero(weight == 0.0)[0]
+    if len(vertex):
+        best = np.argmax(ctx.gradient(pa[vertex], vertex), axis=1)
+        pa[vertex] = np.eye(pa.shape[1])[best]
+    live = np.nonzero(weight != 0.0)[0]
+    sub = ctx.restrict(live) if len(vertex) else ctx
+    p, div = pa[live], weight[live][:, None]
     for _ in range(_MAX_ITER):
-        live = np.nonzero(~frozen)[0]
         if len(live) == 0:
             break
-        pal = pa[live]
-        grad = ctx.gradient(pal, live)
-        new = pal * np.exp2((grad - grad.max(axis=1, keepdims=True)) / weight)
+        grad = sub.gradient(p)
+        new = p * np.exp2((grad - grad.max(axis=1, keepdims=True)) / div)
         new /= new.sum(axis=1, keepdims=True)
-        step = np.sqrt(((new - pal) ** 2).sum(axis=1))
-        pa[live] = new
-        frozen[live[step < _STEP_TOL]] = True
-    return pa, ctx.objective(pa, all_rows)
+        stopped = np.sqrt(((new - p) ** 2).sum(axis=1)) < _STEP_TOL
+        p = new
+        if stopped.any():
+            pa[live[stopped]] = p[stopped]
+            keep = np.nonzero(~stopped)[0]
+            live, p, div, sub = live[keep], p[keep], div[keep], sub.restrict(keep)
+    pa[live] = p
+    if capped is not None:
+        capped[live] = True
+    return pa, ctx.objective(pa)
 
 
 def _alternate(pa, pb, ws: _Workspace, coeffs):
-    """Alternating coordinate ascent over the two input distributions."""
-    coeffs_t = (coeffs[0], coeffs[2], coeffs[1], coeffs[3])
+    """Alternating coordinate ascent over the two input distributions.
+
+    Returns the final batches and, per row, whether it converged: False for
+    a row that hit ``_MAX_ITER`` in some block or ran all ``_MAX_SWEEPS``.
+    """
     f_prev = np.full(len(pa), -np.inf)
     active = np.ones(len(pa), dtype=bool)
+    capped = np.zeros(len(pa), dtype=bool)
     for _ in range(_MAX_SWEEPS):
         idx = np.nonzero(active)[0]
         if len(idx) == 0:
             break
         sub_a, sub_b = pa[idx].copy(), pb[idx].copy()
-        sub_a, _ = _ascend_block(sub_a, _BlockContext(sub_b, ws.chan, ws.rowent, coeffs))
-        ctx_b = _BlockContext(sub_a, ws.chan_t, ws.rowent_t, coeffs_t)
-        sub_b, f = _ascend_block(sub_b, ctx_b)
+        sub_capped = np.zeros(len(idx), dtype=bool)
+        c = [x[idx] for x in coeffs]
+        ctx_a = _BlockContext(sub_b, ws.chan, ws.rowent, c)
+        sub_a, _ = _ascend_block(sub_a, ctx_a, sub_capped)
+        ctx_b = _BlockContext(sub_a, ws.chan_t, ws.rowent_t, (c[0], c[2], c[1], c[3]))
+        sub_b, f = _ascend_block(sub_b, ctx_b, sub_capped)
         pa[idx], pb[idx] = sub_a, sub_b
+        capped[idx] |= sub_capped
         done = f - f_prev[idx] < _SWEEP_TOL
         f_prev[idx] = f
         active[idx[done]] = False
-    return pa, pb
+    return pa, pb, ~(capped | active)
 
 
 def _dirichlet_inits(seed: int, tag: int, restarts: int, na: int, nb: int):
     """Flat-Dirichlet starting points, one generator per (seed, tag, restart).
 
-    Seeding each restart separately keeps results identical no matter how
-    restarts are batched or scheduled.
+    Seeding each restart separately keeps every row's start the same no
+    matter how restarts are batched.
     """
     pa = np.empty((restarts, na))
     pb = np.empty((restarts, nb))
@@ -397,22 +449,25 @@ def _dirichlet_inits(seed: int, tag: int, restarts: int, na: int, nb: int):
     return pa, pb
 
 
-def _optimize_tag(n: Mac, ws: _Workspace, mu: float, seed: int, tag: int, restarts: int):
-    """Run all restarts for one scalarization weight; returns per-restart results."""
-    pa, pb = _dirichlet_inits(seed, tag, restarts, n.na, n.nb)
-    coeffs = _vertex_coeffs(mu)
-    pa, pb = _alternate(pa, pb, ws, coeffs)
+def _solve(n: Mac, mus: Sequence[float], seed: int, restarts: int):
+    """Optimize every (weight, restart) row in one batch.
+
+    Row ``tag * restarts + r`` starts from the ``(seed, tag, r)`` Dirichlet
+    draw and maximizes the weight ``mus[tag]``.  Returns, for each row in
+    that order, its input, its pentagon and whether its optimizer converged.
+    """
+    inits = [
+        _dirichlet_inits(seed, tag, restarts, n.na, n.nb) for tag in range(len(mus))
+    ]
+    pa = np.concatenate([a for a, _ in inits])
+    pb = np.concatenate([b for _, b in inits])
+    coeffs = _vertex_coeffs(np.repeat(np.asarray(mus, dtype=float), restarts))
+    pa, pb, converged = _alternate(pa, pb, _Workspace(n), coeffs)
     out = []
-    for r in range(restarts):
-        q = ProductInput(pa[r], pb[r])
-        out.append((r, q, pentagon(n, q)))
+    for row in range(len(pa)):
+        q = ProductInput(pa[row], pb[row])
+        out.append((q, pentagon(n, q), bool(converged[row])))
     return out
-
-
-def _region_task(args):
-    """Process-pool entry point: one scalarization weight, all restarts."""
-    n, mu, seed, tag, restarts = args
-    return _optimize_tag(n, _Workspace(n), mu, seed, tag, restarts)
 
 
 def _corner_points(pent: Pentagon) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -490,41 +545,34 @@ def inner_bound(
     For each weight ``mu`` on a uniform grid in ``[0, 1]`` the optimizer
     maximizes ``mu R1 + (1 - mu) R2`` at the dominant pentagon corner over
     product input distributions, using alternating Blahut–Arimoto block
-    updates from ``restarts`` flat-Dirichlet initializations.  Every
-    evaluated corner is achievable, so the convex hull of the collected rate
-    pairs (closed under silencing either sender) is a certified inner bound
+    updates from ``restarts`` flat-Dirichlet initializations; all
+    ``mu_points * restarts`` runs are solved as one batch.  Every evaluated
+    corner is achievable, so the convex hull of the collected rate pairs
+    (closed under silencing either sender) is a certified inner bound
     regardless of optimizer quality.
 
-    Deterministic for a fixed seed and restart count, independent of
-    ``workers``; results are merged in (weight, restart) order.
+    Deterministic for a fixed seed, ``restarts`` and ``mu_points``; results
+    are merged in (weight, restart) order.
 
     Args:
         n: The channel.
         restarts: Random initializations per weight (>= 1).
         seed: Base seed for the per-restart generators.
-        workers: Worker processes across weights.
-        mu_points: Number of weights on the scalarization grid.
+        workers: Ignored: the batch runs in the calling process.  Accepted
+            so that existing callers keep working.
+        mu_points: Number of weights on the scalarization grid (>= 1).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    mus = np.linspace(0.0, 1.0, mu_points)
-    if workers > 1:
-        jobs = [(n, float(mu), seed, tag, restarts) for tag, mu in enumerate(mus)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_tag = list(pool.map(_region_task, jobs))
-    else:
-        ws = _Workspace(n)
-        per_tag = [
-            _optimize_tag(n, ws, float(mu), seed, tag, restarts)
-            for tag, mu in enumerate(mus)
-        ]
-
+    if mu_points < 1:
+        raise ValueError("mu_points must be >= 1")
+    results = _solve(n, np.linspace(0.0, 1.0, mu_points), seed, restarts)
     witnesses = []
-    for tag, results in enumerate(per_tag):
-        for r, q, pent in results:
-            d1, d2 = _corner_points(pent)
-            witnesses.append(InnerPoint(d1[0], d1[1], q, "r1-priority", tag, r))
-            witnesses.append(InnerPoint(d2[0], d2[1], q, "r2-priority", tag, r))
+    for row, (q, pent, converged) in enumerate(results):
+        tag, r = divmod(row, restarts)
+        d1, d2 = _corner_points(pent)
+        witnesses.append(InnerPoint(d1[0], d1[1], q, "r1-priority", tag, r, converged))
+        witnesses.append(InnerPoint(d2[0], d2[1], q, "r2-priority", tag, r, converged))
     chain = _boundary_chain([(w.r1, w.r2) for w in witnesses])
     return RegionBound(tuple(chain), tuple(witnesses))
 
@@ -541,9 +589,10 @@ def sum_capacity_lower_bound(
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    results = _optimize_tag(n, _Workspace(n), 0.5, seed, 0, restarts)
-    _, best_q, best_pent = max(results, key=lambda res: (res[2].sum_max, -res[0]))
-    return best_pent.sum_max, best_q
+    results = _solve(n, [0.5], seed, restarts)
+    best = max(range(restarts), key=lambda r: (results[r][1].sum_max, -r))
+    q, pent, _ = results[best]
+    return pent.sum_max, q
 
 
 # ---------------------------------------------------------------------------

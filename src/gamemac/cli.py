@@ -163,9 +163,7 @@ def _cmd_region(args) -> int:
     mac = _load_game_or_mac(args.input)
     if args.restarts < 1:
         raise _CliError(EXIT_INPUT, "restarts must be >= 1")
-    region = capacity.inner_bound(
-        mac, restarts=args.restarts, seed=args.seed, workers=args.threads
-    )
+    region = capacity.inner_bound(mac, restarts=args.restarts, seed=args.seed)
     if args.out:
         try:
             capacity.write_region_dat(args.out, region)
@@ -238,7 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write hull boundary rows to this file")
-    p.add_argument("--threads", type=int, default=threads)
     p.set_defaults(func=_cmd_region)
 
     p = sub.add_parser("mac-export", help="compile a game and write its channel file")

@@ -31,6 +31,7 @@ from gamemac import (
 from gamemac import capacity
 from gamemac.capacity import (
     LsgRates,
+    _alternate,
     _ascend_block,
     _BlockContext,
     _vertex_coeffs,
@@ -262,6 +263,63 @@ class TestOptimizerInternals:
         assert np.abs(direct - swapped).max() < 1e-12
 
 
+class TestBatchedSolve:
+    @staticmethod
+    def scalar_coeffs(mu):
+        if mu >= 0.5:
+            return (1.0 - mu, 2.0 * mu - 1.0, 0.0, mu)
+        return (mu, 0.0, 1.0 - 2.0 * mu, 1.0 - mu)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), restarts=st.integers(1, 3))
+    def test_mixed_weight_batch_matches_each_weight_alone(self, seed, restarts):
+        # every row's weighted optimum is the same whether its weight shares
+        # the batch with other weights or is solved alone
+        rng = np.random.default_rng(seed)
+        ws = _Workspace(mac_from_game(random_game(rng, max_size=3)))
+        na, nb = ws.chan.shape[:2]
+        mus = np.repeat([0.0, 0.25, 0.5, 0.75, 1.0], restarts)
+        pa = rng.dirichlet(np.ones(na), size=len(mus))
+        pb = rng.dirichlet(np.ones(nb), size=len(mus))
+        coeffs = _vertex_coeffs(mus)
+        assert all(c.shape == mus.shape for c in coeffs)
+        for row, mu in enumerate(mus):
+            assert tuple(c[row] for c in coeffs) == self.scalar_coeffs(mu)
+
+        def value(pa, pb, coeffs):
+            return _BlockContext(pb, ws.chan, ws.rowent, coeffs).objective(pa)
+
+        ba, bb, _ = _alternate(pa.copy(), pb.copy(), ws, coeffs)
+        batched = value(ba, bb, coeffs)
+        for mu in np.unique(mus):
+            rows = np.nonzero(mus == mu)[0]
+            alone = tuple(np.full(len(rows), c) for c in self.scalar_coeffs(mu))
+            sa, sb, _ = _alternate(pa[rows].copy(), pb[rows].copy(), ws, alone)
+            assert np.abs(value(sa, sb, alone) - batched[rows]).max() <= 1e-9
+
+    def test_chsh_witnesses_converge(self):
+        # at seed 1 every run meets its tolerances; at some other seeds a
+        # run creeps to the iteration cap, and is flagged
+        region = inner_bound(mac_from_game(chsh_game()), restarts=4, seed=1,
+                             mu_points=9)
+        assert all(w.converged for w in region.witnesses)
+
+    def test_iteration_caps_are_reported(self):
+        n = mac_from_game(chsh_game())
+        # one update per block, and every run ends at its second sweep
+        with mock.patch.multiple(capacity, _MAX_ITER=1, _SWEEP_TOL=math.inf):
+            region = inner_bound(n, restarts=4, seed=1, mu_points=9)
+        assert not all(w.converged for w in region.witnesses)
+        with mock.patch.object(capacity, "_MAX_SWEEPS", 1):
+            region = inner_bound(n, restarts=4, seed=1, mu_points=9)
+        assert not any(w.converged for w in region.witnesses)
+
+    def test_rejects_empty_weight_grid(self):
+        n = mac_from_game(chsh_game())
+        with pytest.raises(ValueError, match="mu_points"):
+            inner_bound(n, restarts=2, mu_points=0)
+
+
 class TestInnerBound:
     def test_noiseless_binary_channel_contains_one_one(self):
         g = all_win_game(2, 2, 1, 1)
@@ -290,8 +348,8 @@ class TestInnerBound:
 
     def test_deterministic_for_fixed_seed_and_workers(self):
         n = mac_from_game(chsh_game())
-        a = inner_bound(n, restarts=6, seed=3, mu_points=7, workers=1)
-        b = inner_bound(n, restarts=6, seed=3, mu_points=7, workers=3)
+        a = inner_bound(n, restarts=6, seed=3, mu_points=7)
+        b = inner_bound(n, restarts=6, seed=3, mu_points=7)
         assert a.vertices == b.vertices
         assert [(w.r1, w.r2) for w in a.witnesses] == [
             (w.r1, w.r2) for w in b.witnesses

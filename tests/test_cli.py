@@ -146,12 +146,17 @@ class TestRegion:
             "region", "chsh", "--restarts", "3", "--seed", "9", "--out", str(f1)
         )
         code2, out2, _ = run(
-            "region", "chsh", "--restarts", "3", "--seed", "9", "--out", str(f2),
-            "--threads", "3",
+            "region", "chsh", "--restarts", "3", "--seed", "9", "--out", str(f2)
         )
         assert code1 == code2 == 0
         assert out1 == out2
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_threads_flag_is_rejected(self):
+        # the region is one batch in one process; --threads is for brute force
+        with pytest.raises(SystemExit) as exc:
+            main(["region", "chsh", "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_mac_file_input(self, run, tmp_path):
         mac = mac_from_game(magic_square_game())
