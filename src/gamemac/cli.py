@@ -161,8 +161,6 @@ def _cmd_sumrate_bound(args) -> int:
 
 def _cmd_region(args) -> int:
     mac = _load_game_or_mac(args.input)
-    if args.restarts < 1:
-        raise _CliError(EXIT_INPUT, "restarts must be >= 1")
     region = capacity.inner_bound(mac, restarts=args.restarts, seed=args.seed)
     if args.out:
         try:
@@ -188,10 +186,7 @@ def _cmd_mac_export(args) -> int:
 
 
 def _cmd_lsg_rates(args) -> int:
-    try:
-        rates = capacity.lsg_rates(args.m, args.n, args.pl, args.fd)
-    except ValueError as exc:
-        raise _CliError(EXIT_INPUT, str(exc)) from exc
+    rates = capacity.lsg_rates(args.m, args.n, args.pl, args.fd)
     print(f"R1 = {rates.r1:.6f}")
     print(f"R2 = {rates.r2:.6f}")
     return EXIT_OK

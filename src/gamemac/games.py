@@ -34,7 +34,8 @@ class EnumerationBudgetError(ValueError):
     """Raised when a brute-force enumeration would exceed its budget.
 
     Attributes:
-        required: Number of deterministic strategy pairs the game would need.
+        required: Number of Bob's deterministic tables, ``ny2**nx2``, that
+            the brute force would enumerate.
         budget: The configured limit that was exceeded.
     """
 
@@ -42,7 +43,7 @@ class EnumerationBudgetError(ValueError):
         self.required = required
         self.budget = budget
         super().__init__(
-            f"too large for brute force: {required} strategy pairs "
+            f"too large for brute force: {required} Bob tables "
             f"exceed the budget of {budget}"
         )
 
@@ -242,11 +243,14 @@ def deterministic_strategy(
 
 
 def _best_in_chunk(win: np.ndarray, start: int, stop: int):
-    """Best (wins, alice_index, bob_index) over Bob tables start..stop-1.
+    """Best (wins, alice_table, bob_index) over Bob tables start..stop-1.
 
     For each Bob table the optimal Alice reply decomposes per question, so the
     inner maximization is a per-question argmax instead of a full enumeration.
     Ties take the lowest answer index, hence the lowest Alice table index.
+    Alice's table is kept as a tuple of answers, never packed into one
+    integer, since ``ny1**nx1`` need not fit in int64; comparing tables
+    lexicographically is the same as comparing their indices.
     """
     nx1, nx2, ny1, ny2 = win.shape
     idx = np.arange(start, stop, dtype=np.int64)
@@ -262,12 +266,11 @@ def _best_in_chunk(win: np.ndarray, start: int, stop: int):
     wins = np.take_along_axis(counts, best_y1[:, None, :], axis=1)[:, 0, :].sum(axis=0)
     top = int(wins.max())
     cand = np.nonzero(wins == top)[0]
-    f1_idx = np.zeros(len(cand), dtype=np.int64)
-    for x1 in range(nx1):
-        f1_idx = f1_idx * ny1 + best_y1[x1, cand]
-    order = np.lexsort((idx[cand], f1_idx))  # min (alice index, bob index)
+    # lexsort's last key is primary: Alice's question 0, then her later
+    # questions, then Bob's index
+    order = np.lexsort(np.vstack((idx[cand], best_y1[::-1, cand])))
     j = cand[order[0]]
-    return top, int(f1_idx[order[0]]), int(idx[j])
+    return top, tuple(best_y1[:, j].tolist()), int(idx[j])
 
 
 def _decode_table(index: int, n_questions: int, n_answers: int) -> tuple[int, ...]:
@@ -294,28 +297,28 @@ def omega_uniform_bruteforce(
 
     Args:
         g: The game to solve.
-        budget: Maximum number of deterministic strategy pairs
-            ``ny1**nx1 * ny2**nx2`` allowed before refusing to enumerate.
+        budget: Maximum number of Bob tables ``ny2**nx2`` allowed before
+            refusing to enumerate.  Alice's side costs no enumeration: her
+            best reply is a per-question argmax.
         workers: Worker threads for partitioning Bob's tables.  The result
             is independent of the worker count.
 
     Raises:
-        EnumerationBudgetError: If the pair count exceeds ``budget``.
+        EnumerationBudgetError: If the Bob-table count exceeds ``budget``.
     """
-    pairs = g.ny1**g.nx1 * g.ny2**g.nx2
-    if pairs > budget:
-        raise EnumerationBudgetError(pairs, budget)
     n_f2 = g.ny2**g.nx2
+    if n_f2 > budget:
+        raise EnumerationBudgetError(n_f2, budget)
     spans = [(s, min(s + _CHUNK, n_f2)) for s in range(0, n_f2, _CHUNK)]
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda sp: _best_in_chunk(g.win, *sp), spans))
     else:
         results = [_best_in_chunk(g.win, *sp) for sp in spans]
-    wins, a_idx, b_idx = min(results, key=lambda r: (-r[0], r[1], r[2]))
+    wins, alice, b_idx = min(results, key=lambda r: (-r[0], r[1], r[2]))
     return BruteForceResult(
         value=Fraction(wins, g.nx1 * g.nx2),
-        alice=_decode_table(a_idx, g.nx1, g.ny1),
+        alice=alice,
         bob=_decode_table(b_idx, g.nx2, g.ny2),
     )
 

@@ -63,37 +63,35 @@ class Povm:
 
     Elements must be Hermitian, positive semidefinite up to ``-1e-10``
     eigenvalue slack, and sum to the identity within ``1e-10`` entrywise.
+
+    Attributes:
+        elements: Read-only complex array of shape ``(k, d, d)``;
+            ``elements[y]`` is the element of outcome ``y``.
     """
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
 
     def __init__(self, elements: Sequence[np.ndarray]):
-        mats = []
-        for el in elements:
-            m = np.asarray(el, dtype=complex).copy()
-            m.setflags(write=False)
-            mats.append(m)
-        object.__setattr__(self, "elements", tuple(mats))
-        self._validate()
-
-    def _validate(self):
-        if not self.elements:
+        try:
+            stack = np.array(elements, dtype=complex)
+        except ValueError as exc:
+            raise ValueError("POVM elements must be square and same-sized") from exc
+        if len(stack) == 0:
             raise ValueError("a POVM needs at least one element")
-        d = self.elements[0].shape[0]
-        for m in self.elements:
-            if m.shape != (d, d):
-                raise ValueError("POVM elements must be square and same-sized")
-            if np.abs(m - m.conj().T).max() > _HERM_TOL:
-                raise ValueError("POVM element is not Hermitian")
-            if np.linalg.eigvalsh(m).min() < _PSD_TOL:
-                raise ValueError("POVM element is not positive semidefinite")
-        total = sum(self.elements)
-        if np.abs(total - np.eye(d)).max() > _SUM_TOL:
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ValueError("POVM elements must be square and same-sized")
+        if np.abs(stack - stack.conj().transpose(0, 2, 1)).max() > _HERM_TOL:
+            raise ValueError("POVM element is not Hermitian")
+        if np.linalg.eigvalsh(stack).min() < _PSD_TOL:
+            raise ValueError("POVM element is not positive semidefinite")
+        if np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])).max() > _SUM_TOL:
             raise ValueError("POVM elements do not sum to the identity")
+        stack.setflags(write=False)
+        object.__setattr__(self, "elements", stack)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     @property
     def n_outcomes(self) -> int:
@@ -153,26 +151,23 @@ def correlation(qs: QuantumStrategy) -> np.ndarray:
     sums to 1 within ``1e-10``.
     """
     psi = qs.state.as_matrix()
-    table = np.empty((qs.nx1, qs.nx2, qs.ny1, qs.ny2))
-    for x1, povm_a in enumerate(qs.alice_povms):
-        for x2, povm_b in enumerate(qs.bob_povms):
-            for y1, el_a in enumerate(povm_a.elements):
-                left = el_a @ psi
-                for y2, el_b in enumerate(povm_b.elements):
-                    val = np.vdot(psi, left @ el_b.T)
-                    if abs(val.imag) > _IMAG_TOL:
-                        raise ValueError(
-                            f"correlation entry has imaginary residue {val.imag!r}"
-                        )
-                    if val.real < -_IMAG_TOL:
-                        raise ValueError(
-                            f"correlation entry is negative: {val.real!r}"
-                        )
-                    table[x1, x2, y1, y2] = max(val.real, 0.0)
-            if abs(table[x1, x2].sum() - 1.0) > _SUM_TOL:
-                raise ValueError(
-                    f"correlation slice ({x1}, {x2}) sums to {table[x1, x2].sum()!r}"
-                )
+    alice = np.stack([p.elements for p in qs.alice_povms])  # (nx1, ny1, d_a, d_a)
+    bob = np.stack([p.elements for p in qs.bob_povms])  # (nx2, ny2, d_b, d_b)
+    # contract pairwise: one three-operand einsum loops over all seven indices
+    left = np.einsum("xpik,kl->xpil", alice, psi)
+    left = np.einsum("ij,xpil->xpjl", psi.conj(), left)
+    vals = np.einsum("xpjl,yqjl->xypq", left, bob)
+    residue = np.abs(vals.imag).max()
+    if residue > _IMAG_TOL:
+        raise ValueError(f"correlation entry has imaginary residue {residue!r}")
+    if vals.real.min() < -_IMAG_TOL:
+        raise ValueError(f"correlation entry is negative: {vals.real.min()!r}")
+    table = np.maximum(vals.real, 0.0)
+    sums = table.sum(axis=(2, 3))
+    off = np.argwhere(np.abs(sums - 1.0) > _SUM_TOL)
+    if len(off):
+        x1, x2 = off[0]
+        raise ValueError(f"correlation slice ({x1}, {x2}) sums to {sums[x1, x2]!r}")
     return table
 
 
@@ -217,22 +212,12 @@ _MS_COLUMN_UNITARIES = (
 )
 
 
-def magic_square_row_unitaries() -> tuple[np.ndarray, ...]:
-    """Alice's three 4x4 measurement unitaries (copies)."""
-    return tuple(u.copy() for u in _MS_ROW_UNITARIES)
-
-
-def magic_square_column_unitaries() -> tuple[np.ndarray, ...]:
-    """Bob's three 4x4 measurement unitaries (copies)."""
-    return tuple(u.copy() for u in _MS_COLUMN_UNITARIES)
-
-
 def _basis_povm(u: np.ndarray) -> Povm:
     """Projective POVM for measuring ``u |psi>`` in the computational basis.
 
     Outcome ``k`` has element ``u^dag |k><k| u``, a rank-1 projector.
     """
-    return Povm([np.outer(u[k].conj(), u[k]) for k in range(u.shape[0])])
+    return Povm(np.einsum("ki,kj->kij", u.conj(), u))
 
 
 def magic_square_strategy() -> QuantumStrategy:
@@ -315,8 +300,7 @@ def to_classical_channel(
     if f2.min() < 0 or f2.max() >= nb:
         raise ValueError("post2 values must lie in [0, nb)")
     corr = correlation(qs)
+    a1, b1, y1, y2 = np.indices(corr.shape, sparse=True)
     table = np.zeros((qs.nx1, qs.nx2, na, nb))
-    for a1 in range(qs.nx1):
-        for b1 in range(qs.nx2):
-            np.add.at(table[a1, b1], (f1[a1][:, None], f2[b1][None, :]), corr[a1, b1])
+    np.add.at(table, (a1, b1, f1[a1, y1], f2[b1, y2]), corr)
     return Encoding(qs.nx1, qs.nx2, na, nb, table)

@@ -20,12 +20,18 @@ def random_strategy(rng, g: Game) -> ProductStrategy:
     return ProductStrategy(p1, p2, pi1, pi2)
 
 
-def random_quantum_strategy(rng, nx1, nx2, ny1, ny2, d=3) -> QuantumStrategy:
-    """Random state and POVMs; elements conjugated to sum to the identity."""
-    vec = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
-    state = PureState(vec / np.linalg.norm(vec), d, d)
+def random_quantum_strategy(
+    rng, nx1, nx2, ny1, ny2, d=3, d_b=None
+) -> QuantumStrategy:
+    """Random state and POVMs; elements conjugated to sum to the identity.
 
-    def random_povm(n):
+    Alice's local dimension is ``d``; Bob's is ``d_b``, by default also ``d``.
+    """
+    d_b = d if d_b is None else d_b
+    vec = rng.normal(size=d * d_b) + 1j * rng.normal(size=d * d_b)
+    state = PureState(vec / np.linalg.norm(vec), d, d_b)
+
+    def random_povm(n, d):
         raw = []
         for _ in range(n):
             m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -37,8 +43,8 @@ def random_quantum_strategy(rng, nx1, nx2, ny1, ny2, d=3) -> QuantumStrategy:
 
     return QuantumStrategy(
         state,
-        [random_povm(ny1) for _ in range(nx1)],
-        [random_povm(ny2) for _ in range(nx2)],
+        [random_povm(ny1, d) for _ in range(nx1)],
+        [random_povm(ny2, d_b) for _ in range(nx2)],
     )
 
 

@@ -492,6 +492,19 @@ class TestHastadGame:
         assert result.value < 1
         assert result.value == Fraction(23, 24)
 
+    def test_ten_clause_formula_solves_under_default_budget(self):
+        # 8**10 * 2**6 (about 6.9e10) strategy pairs, but the brute force
+        # only enumerates Bob's 2**6 tables; the eight sign patterns over
+        # variables 1-3 make it unsatisfiable, so exactly one of the 60
+        # question pairs is lost
+        clauses = [
+            tuple((v + 1) * (1 if s == 0 else -1) for v, s in enumerate(signs))
+            for signs in np.ndindex(2, 2, 2)
+        ] + [(4, 5, 6), (-4, -5, 6)]
+        g = hastad_game(clauses)
+        assert (g.nx1, g.nx2, g.ny1, g.ny2) == (10, 6, 8, 2)
+        assert omega_uniform_bruteforce(g).value == Fraction(59, 60)
+
     def test_promise_free_conversion_applied(self):
         g = hastad_game([(1, 2, 3)], n_vars=5)
         # variables 4 and 5 are outside the clause: automatic win

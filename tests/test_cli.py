@@ -60,7 +60,7 @@ class TestOmega:
     def test_budget_exceeded_exits_3(self, run):
         code, _, err = run("omega", "magicsquare", "--budget", "10")
         assert code == 3
-        assert "4096" in err  # required pair count carried in the message
+        assert "64" in err  # required Bob-table count carried in the message
 
 
 class TestQuantumVerify:
@@ -171,6 +171,11 @@ class TestRegion:
         path = write_game(tmp_path, "nonsense 1 2\n")
         code, _, _ = run("region", path, "--restarts", "1")
         assert code == 2
+
+    def test_zero_restarts_exits_2(self, run):
+        code, _, err = run("region", "chsh", "--restarts", "0")
+        assert code == 2
+        assert "restarts must be >= 1" in err
 
 
 class TestMacExport:

@@ -204,9 +204,9 @@ class TestBruteForce:
     def test_budget_exceeded(self):
         g = magic_square_game()
         with pytest.raises(EnumerationBudgetError) as info:
-            omega_uniform_bruteforce(g, budget=100)
-        assert info.value.required == 4**3 * 4**3
-        assert info.value.budget == 100
+            omega_uniform_bruteforce(g, budget=10)
+        assert info.value.required == 4**3  # Bob tables; Alice needs none
+        assert info.value.budget == 10
 
     def test_worker_count_does_not_change_result(self, rng):
         for _ in range(5):
@@ -220,6 +220,25 @@ class TestBruteForce:
         result = omega_uniform_bruteforce(all_win_game())
         assert result.alice == (0, 0)
         assert result.bob == (0, 0)
+
+    def test_alice_table_beyond_int64(self, rng):
+        # 8**22 = 2**66 Alice tables: her table index does not fit in int64.
+        # Both Bob tables win the same count; they differ only in Alice's
+        # best answer to question 0 (0 against Bob's 0, 7 against his 1), so
+        # the lowest Alice table decides between them.
+        nx1, ny1 = 22, 8
+        win = np.zeros((nx1, 1, ny1, 2), dtype=bool)
+        win[:, 0, :, 0] = rng.random((nx1, ny1)) < 0.5
+        win[:, 0, :, 1] = win[:, 0, :, 0]
+        win[0, 0, :, 0] = np.arange(ny1) == 0
+        win[0, 0, :, 1] = np.arange(ny1) == ny1 - 1
+        g = Game(nx1, 1, ny1, 2, win)
+        result = omega_uniform_bruteforce(g)
+        wins = sum(win[x1, 0, y1, result.bob[0]] for x1, y1 in enumerate(result.alice))
+        assert result.value == Fraction(int(wins), nx1)
+        replies = [tuple(win[:, 0, :, b].argmax(axis=1).tolist()) for b in (0, 1)]
+        assert result.alice == replies[0] == min(replies)
+        assert result.bob == (0,)
 
 
 class TestGameFile:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gamemac import (
     Povm,
@@ -17,7 +18,7 @@ from gamemac import (
     to_classical_channel,
     winning_probability,
 )
-from gamemac.quantum import magic_square_column_unitaries, magic_square_row_unitaries
+from gamemac.quantum import _MS_COLUMN_UNITARIES, _MS_ROW_UNITARIES
 from conftest import random_quantum_strategy as random_strategy
 
 
@@ -52,6 +53,15 @@ class TestValidation:
         el = np.array([[0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(ValueError):
             Povm([el, np.eye(2) - el])
+
+    @pytest.mark.parametrize(
+        "elements",
+        [[], [np.eye(2), np.zeros((3, 3))], [np.eye(2, 3)]],
+        ids=["empty", "mixed_sizes", "non_square"],
+    )
+    def test_povm_malformed_element_list_rejected(self, elements):
+        with pytest.raises(ValueError):
+            Povm(elements)
 
     def test_mismatched_outcome_counts_rejected(self):
         state = PureState(np.array([1, 0, 0, 0], dtype=complex), 2, 2)
@@ -106,8 +116,8 @@ class TestCorrelation:
         # rank-1 projective measurements reproduce |<k l| U (x) V |psi>|^2
         qs = magic_square_strategy()
         psi = qs.state.amplitudes
-        for r, u in enumerate(magic_square_row_unitaries()):
-            for c, v in enumerate(magic_square_column_unitaries()):
+        for r, u in enumerate(_MS_ROW_UNITARIES):
+            for c, v in enumerate(_MS_COLUMN_UNITARIES):
                 rotated = np.kron(u, v) @ psi
                 direct = (np.abs(rotated) ** 2).reshape(4, 4)
                 corr = correlation(qs)[r, c]
@@ -123,7 +133,7 @@ class TestMagicSquareStrategy:
         )
 
     def test_unitaries_are_unitary(self):
-        for u in magic_square_row_unitaries() + magic_square_column_unitaries():
+        for u in _MS_ROW_UNITARIES + _MS_COLUMN_UNITARIES:
             assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
 
     def test_wins_every_question_pair(self):
@@ -224,3 +234,45 @@ class TestToClassicalChannel:
         bad = np.array([[0, 1], [2, 5]])
         with pytest.raises(ValueError):
             to_classical_channel(qs, bad, np.zeros((2, 2), int), 4, 4)
+
+
+# Random strategies with unequal local dimensions, so that a transposed state
+# or swapped players cannot pass by symmetry.
+unequal_dims = st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(
+    lambda dims: dims[0] != dims[1]
+)
+alphabet_sizes = st.tuples(*[st.integers(1, 3)] * 4)  # nx1, nx2, ny1, ny2
+
+
+class TestQuantumProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dims=unequal_dims, sizes=alphabet_sizes)
+    def test_correlation_is_kronecker_born_rule(self, seed, dims, sizes):
+        rng = np.random.default_rng(seed)
+        qs = random_strategy(rng, *sizes, d=dims[0], d_b=dims[1])
+        corr = correlation(qs)
+        psi = qs.state.amplitudes
+        for x1, x2, y1, y2 in np.ndindex(corr.shape):
+            el_a = qs.alice_povms[x1].elements[y1]
+            el_b = qs.bob_povms[x2].elements[y2]
+            op = np.kron(el_a, el_b)
+            assert abs(corr[x1, x2, y1, y2] - np.vdot(psi, op @ psi)) < 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dims=unequal_dims, sizes=alphabet_sizes)
+    def test_encoding_sums_correlation_over_post_preimages(self, seed, dims, sizes):
+        rng = np.random.default_rng(seed)
+        nx1, nx2, ny1, ny2 = sizes
+        qs = random_strategy(rng, *sizes, d=dims[0], d_b=dims[1])
+        # fewer inputs than (question, outcome) pairs: the tables cannot be
+        # injective once a player has two or more such pairs
+        na = max(1, nx1 * ny1 - 1)
+        nb = max(1, nx2 * ny2 - 1)
+        post1 = rng.integers(0, na, size=(nx1, ny1))
+        post2 = rng.integers(0, nb, size=(nx2, ny2))
+        enc = to_classical_channel(qs, post1, post2, na, nb)
+        corr = correlation(qs)
+        expected = np.zeros((nx1, nx2, na, nb))
+        for a1, b1, y1, y2 in np.ndindex(corr.shape):
+            expected[a1, b1, post1[a1, y1], post2[b1, y2]] += corr[a1, b1, y1, y2]
+        assert np.abs(enc.p - expected).max() < 1e-12
