@@ -38,7 +38,6 @@ from .channel import (
     identity_encoding,
     load_mac_file,
     mac_from_game,
-    pair_index,
     pentagon,
     strategy_input,
     sum_rate_identity_check,

@@ -10,7 +10,7 @@ Three families of results live here:
   minimized over ``delta``;
 * a randomized inner bound on the capacity region, tracing the boundary by
   maximizing weighted pentagon vertices over product input distributions
-  with alternating Blahut–Arimoto block updates;
+  with alternating Blahut–Arimoto block updates stopped on a Frank–Wolfe gap;
 * closed-form achievable rates for channels built from linear-system games,
   plus constructors for those games and for clause/variable games built
   from 3-CNF formulas.
@@ -32,15 +32,13 @@ from .channel import Mac, Pentagon, ProductInput, pentagon
 from .games import Game, PromisedGame, promise_free
 
 _INV_LN2 = 1.0 / math.log(2.0)
-_TINY = 1e-300
 
-# Optimizer stopping rules: a block row stops once its Blahut–Arimoto step is
-# shorter than _STEP_TOL (or after _MAX_ITER updates); a restart stops once a
-# sweep over both blocks gains less than _SWEEP_TOL (or after _MAX_SWEEPS).
-_STEP_TOL = 1e-7
-_MAX_ITER = 10_000
-_SWEEP_TOL = 1e-10
-_MAX_SWEEPS = 500
+# Optimizer schedule: _BA_STEPS Blahut–Arimoto updates per block and sweep until
+# both block gaps are at most _GAP_TOL, or _MAX_SWEEPS sweeps; see _ascend_block.
+_BA_STEPS = 20
+_GAP_TOL = 1e-5
+_MAX_SWEEPS = 2000
+_REVIVE = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +216,13 @@ def upper_bound_curve(g: Game, omega_u, points: int = 200) -> np.ndarray:
 class InnerPoint:
     """An achievable rate pair with its witnessing input distribution.
 
-    ``converged`` is False when the optimizer run that found ``input``
-    stopped at an iteration cap (``_MAX_ITER`` updates in some block, or
-    ``_MAX_SWEEPS`` sweeps) instead of meeting its stopping tolerance; the
-    rate pair is achievable either way.
+    ``gap`` is the larger of the two block Frank–Wolfe gaps of the weighted
+    objective at ``input``: with either sender fixed, the other can raise it
+    by at most ``gap`` bits, except through an input at zero mass that alone
+    reaches an output of probability zero (the gradient takes ``log 0`` as
+    0).  ``converged`` means ``gap <= _GAP_TOL``; a run stopped at
+    ``_MAX_SWEEPS`` before that has ``gap = inf``.  The rate pair is
+    achievable either way.
     """
 
     r1: float
@@ -230,7 +231,11 @@ class InnerPoint:
     corner: str
     mu_index: int
     restart: int
-    converged: bool
+    gap: float
+
+    @property
+    def converged(self) -> bool:
+        return self.gap <= _GAP_TOL
 
 
 @dataclasses.dataclass(frozen=True)
@@ -258,10 +263,14 @@ class RegionBound:
         return max(r1 + r2 for r1, r2 in self.vertices)
 
 
+def _log2(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``log2``, with 0 where ``x`` is 0."""
+    return np.log2(x, where=x > 0.0, out=np.zeros_like(x))
+
+
 def _row_entropies(p: np.ndarray) -> np.ndarray:
     """Entropies in bits along the last axis; zero cells contribute zero."""
-    logs = np.where(p > 0.0, np.log2(np.maximum(p, _TINY)), 0.0)
-    return -(p * logs).sum(axis=-1)
+    return -(p * _log2(p)).sum(axis=-1)
 
 
 class _Workspace:
@@ -351,18 +360,18 @@ class _BlockContext:
         grad = -self.lin
         if self.alpha is not None:
             pz = np.matmul(pa[:, None, :], self.cond_a)[:, 0, :]
-            lg = np.where(pz > 0.0, np.log2(np.maximum(pz, _TINY)), 0.0) + _INV_LN2
+            lg = _log2(pz) + _INV_LN2
             back = np.matmul(self.cond_a, lg[:, :, None])[:, :, 0]
             grad = grad - self.alpha[..., None] * back
         if self.beta is not None:
             q = (pa @ self.chan_flat).reshape(len(pa), self.nb, self.nz)
-            lg = np.where(q > 0.0, np.log2(np.maximum(q, _TINY)), 0.0) + _INV_LN2
+            lg = _log2(q) + _INV_LN2
             weighted = (self.pb[:, :, None] * lg).reshape(len(pa), -1)
             grad = grad - self.beta[..., None] * (weighted @ self.chan_flat.T)
         return grad
 
 
-def _ascend_block(pa, ctx: _BlockContext, capped=None):
+def _ascend_block(pa, ctx: _BlockContext, hold):
     """Batched Blahut–Arimoto ascent over one sender's distributions.
 
     With the other sender frozen the objective is
@@ -371,67 +380,63 @@ def _ascend_block(pa, ctx: _BlockContext, capped=None):
     (normalized per row, with each row's own ``alpha + beta``) climbs it
     monotonically with no step size.  Rows with ``alpha + beta = 0`` have a
     linear objective and move to the vertex of their largest gradient entry.
-    A row stops once its Euclidean step falls below ``_STEP_TOL``; rows
-    still moving after ``_MAX_ITER`` updates are marked in the boolean array
-    ``capped``, when one is given.
 
-    Rows follow the same update whatever else is in the batch, but BLAS may
-    round a matrix product differently for different batch shapes, so a
-    row's result can differ in the last bits between batchings; for a fixed
-    batch it is deterministic.  Returns the updated rows and their objective.
+    A row's Frank–Wolfe gap ``max_a grad_a - p . grad`` at the incoming
+    ``pa`` bounds what its block can still gain.  Rows in the boolean array
+    ``hold`` with a gap within ``_GAP_TOL`` stay put; the others take
+    ``_BA_STEPS`` updates.  BA multiplies, so a zero never returns: a row
+    whose best input has mass below ``_REVIVE`` first takes a Frank–Wolfe
+    step of that length toward it, too short to lower the objective.
+
+    Deterministic for a fixed batch (BLAS may round a row differently in
+    another batch shape).  Returns the updated rows and the gaps of the
+    incoming rows.
     """
+    grad = ctx.gradient(pa)
+    gap = grad.max(axis=1) - (pa * grad).sum(axis=1)
+    best = np.argmax(grad, axis=1)
     weight = np.broadcast_to(ctx.coeffs[0] + ctx.coeffs[1], len(pa))
-    vertex = np.nonzero(weight == 0.0)[0]
-    if len(vertex):
-        best = np.argmax(ctx.gradient(pa[vertex], vertex), axis=1)
-        pa[vertex] = np.eye(pa.shape[1])[best]
-    live = np.nonzero(weight != 0.0)[0]
-    sub = ctx.restrict(live) if len(vertex) else ctx
-    p, div = pa[live], weight[live][:, None]
-    for _ in range(_MAX_ITER):
-        if len(live) == 0:
-            break
-        grad = sub.gradient(p)
-        new = p * np.exp2((grad - grad.max(axis=1, keepdims=True)) / div)
-        new /= new.sum(axis=1, keepdims=True)
-        stopped = np.sqrt(((new - p) ** 2).sum(axis=1)) < _STEP_TOL
-        p = new
-        if stopped.any():
-            pa[live[stopped]] = p[stopped]
-            keep = np.nonzero(~stopped)[0]
-            live, p, div, sub = live[keep], p[keep], div[keep], sub.restrict(keep)
-    pa[live] = p
-    if capped is not None:
-        capped[live] = True
-    return pa, ctx.objective(pa)
+    move = (gap > _GAP_TOL) | ~hold
+    starved = pa[np.arange(len(pa)), best] < _REVIVE
+    fw_step = (move * np.where(weight == 0.0, 1.0, _REVIVE * starved))[:, None]
+    pa = (1.0 - fw_step) * pa + fw_step * np.eye(pa.shape[1])[best]
+    rows = np.nonzero(move & (weight != 0.0))[0]
+    p, div, g = pa[rows], weight[rows][:, None], grad[rows]
+    sub = ctx.restrict(rows) if len(rows) < len(pa) else ctx
+    for step in range(_BA_STEPS):
+        if step or starved[rows].any():
+            g = sub.gradient(p)
+        p = p * np.exp2((g - g.max(axis=1, keepdims=True)) / div)
+        p /= p.sum(axis=1, keepdims=True)
+    pa[rows] = p
+    return pa, gap
 
 
 def _alternate(pa, pb, ws: _Workspace, coeffs):
-    """Alternating coordinate ascent over the two input distributions.
+    """Alternating block ascent over the two input distributions.
 
-    Returns the final batches and, per row, whether it converged: False for
-    a row that hit ``_MAX_ITER`` in some block or ran all ``_MAX_SWEEPS``.
+    Each sweep ascends the first sender's block, then the second's.  A block
+    is held only when its gap and the other block's last gap are both within
+    ``_GAP_TOL`` (holding it sooner can strand mass that keeps the other
+    block creeping); a row stops in the first sweep that holds both, so its
+    two gaps are measured at the returned ``(pa, pb)``.  Returns the batches
+    and each row's larger gap, ``inf`` if still open after ``_MAX_SWEEPS``.
     """
-    f_prev = np.full(len(pa), -np.inf)
-    active = np.ones(len(pa), dtype=bool)
-    capped = np.zeros(len(pa), dtype=bool)
+    gap = np.full(len(pa), np.inf)
+    gap_b = np.full(len(pa), np.inf)
     for _ in range(_MAX_SWEEPS):
-        idx = np.nonzero(active)[0]
+        idx = np.nonzero(np.isinf(gap))[0]
         if len(idx) == 0:
             break
-        sub_a, sub_b = pa[idx].copy(), pb[idx].copy()
-        sub_capped = np.zeros(len(idx), dtype=bool)
         c = [x[idx] for x in coeffs]
-        ctx_a = _BlockContext(sub_b, ws.chan, ws.rowent, c)
-        sub_a, _ = _ascend_block(sub_a, ctx_a, sub_capped)
-        ctx_b = _BlockContext(sub_a, ws.chan_t, ws.rowent_t, (c[0], c[2], c[1], c[3]))
-        sub_b, f = _ascend_block(sub_b, ctx_b, sub_capped)
-        pa[idx], pb[idx] = sub_a, sub_b
-        capped[idx] |= sub_capped
-        done = f - f_prev[idx] < _SWEEP_TOL
-        f_prev[idx] = f
-        active[idx[done]] = False
-    return pa, pb, ~(capped | active)
+        hold = gap_b[idx] <= _GAP_TOL
+        ctx_a = _BlockContext(pb[idx], ws.chan, ws.rowent, c)
+        pa[idx], gap_a = _ascend_block(pa[idx], ctx_a, hold)
+        ctx_b = _BlockContext(pa[idx], ws.chan_t, ws.rowent_t, (c[0], c[2], c[1], c[3]))
+        pb[idx], gap_b[idx] = _ascend_block(pb[idx], ctx_b, gap_a <= _GAP_TOL)
+        both = np.maximum(gap_a, gap_b[idx])
+        gap[idx] = np.where(hold & (both <= _GAP_TOL), both, np.inf)
+    return pa, pb, gap
 
 
 def _dirichlet_inits(seed: int, tag: int, restarts: int, na: int, nb: int):
@@ -454,7 +459,7 @@ def _solve(n: Mac, mus: Sequence[float], seed: int, restarts: int):
 
     Row ``tag * restarts + r`` starts from the ``(seed, tag, r)`` Dirichlet
     draw and maximizes the weight ``mus[tag]``.  Returns, for each row in
-    that order, its input, its pentagon and whether its optimizer converged.
+    that order, its input, its pentagon and its optimizer's final gap.
     """
     inits = [
         _dirichlet_inits(seed, tag, restarts, n.na, n.nb) for tag in range(len(mus))
@@ -462,11 +467,11 @@ def _solve(n: Mac, mus: Sequence[float], seed: int, restarts: int):
     pa = np.concatenate([a for a, _ in inits])
     pb = np.concatenate([b for _, b in inits])
     coeffs = _vertex_coeffs(np.repeat(np.asarray(mus, dtype=float), restarts))
-    pa, pb, converged = _alternate(pa, pb, _Workspace(n), coeffs)
+    pa, pb, gap = _alternate(pa, pb, _Workspace(n), coeffs)
     out = []
     for row in range(len(pa)):
         q = ProductInput(pa[row], pb[row])
-        out.append((q, pentagon(n, q), bool(converged[row])))
+        out.append((q, pentagon(n, q), float(gap[row])))
     return out
 
 
@@ -546,9 +551,10 @@ def inner_bound(
     maximizes ``mu R1 + (1 - mu) R2`` at the dominant pentagon corner over
     product input distributions, using alternating Blahut–Arimoto block
     updates from ``restarts`` flat-Dirichlet initializations; all
-    ``mu_points * restarts`` runs are solved as one batch.  Every evaluated
-    corner is achievable, so the convex hull of the collected rate pairs
-    (closed under silencing either sender) is a certified inner bound
+    ``mu_points * restarts`` runs are solved as one batch.  Each witness
+    carries its run's Frank–Wolfe gap (see :class:`InnerPoint`).  Every
+    evaluated corner is achievable, so the convex hull of the collected rate
+    pairs (closed under silencing either sender) is a certified inner bound
     regardless of optimizer quality.
 
     Deterministic for a fixed seed, ``restarts`` and ``mu_points``; results
@@ -568,11 +574,11 @@ def inner_bound(
         raise ValueError("mu_points must be >= 1")
     results = _solve(n, np.linspace(0.0, 1.0, mu_points), seed, restarts)
     witnesses = []
-    for row, (q, pent, converged) in enumerate(results):
+    for row, (q, pent, gap) in enumerate(results):
         tag, r = divmod(row, restarts)
         d1, d2 = _corner_points(pent)
-        witnesses.append(InnerPoint(d1[0], d1[1], q, "r1-priority", tag, r, converged))
-        witnesses.append(InnerPoint(d2[0], d2[1], q, "r2-priority", tag, r, converged))
+        witnesses.append(InnerPoint(d1[0], d1[1], q, "r1-priority", tag, r, gap))
+        witnesses.append(InnerPoint(d2[0], d2[1], q, "r2-priority", tag, r, gap))
     chain = _boundary_chain([(w.r1, w.r2) for w in witnesses])
     return RegionBound(tuple(chain), tuple(witnesses))
 

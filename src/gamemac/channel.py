@@ -125,11 +125,6 @@ class Encoding:
         object.__setattr__(self, "p", arr)
 
 
-def pair_index(x: int, y: int, ny: int) -> int:
-    """Composite input index for question ``x`` and answer ``y`` (x-major)."""
-    return x * ny + y
-
-
 def mac_from_game(g: Game) -> Mac:
     """Compile a promise-free game into a multiple access channel.
 
