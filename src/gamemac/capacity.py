@@ -370,6 +370,27 @@ class _BlockContext:
             grad = grad - self.beta[..., None] * (weighted @ self.chan_flat.T)
         return grad
 
+    def blind(self, pa, rows=None):
+        """Inputs whose slope :meth:`gradient` reads finite but is ``+inf``.
+
+        Such an input reaches an output that has probability 0 in an entropy
+        term with a positive coefficient; ``_log2`` takes ``log 0`` as 0
+        there.  Only an input at (or underflowing to) zero mass can.
+        """
+        if rows is not None:
+            return self.restrict(rows).blind(pa)
+        out = np.zeros(pa.shape, dtype=bool)
+        if self.alpha is not None:
+            dead = np.matmul(pa[:, None, :], self.cond_a)[:, 0, :] <= 0.0
+            hit = ((self.cond_a > 0.0) & dead[:, None, :]).any(axis=2)
+            out |= hit & (self.alpha[..., None] > 0.0)
+        if self.beta is not None:
+            q = (pa @ self.chan_flat).reshape(len(pa), self.nb, self.nz)
+            dead = (q <= 0.0) & (self.pb[:, :, None] > 0.0)
+            hit = dead.reshape(len(pa), -1).astype(float) @ self.chan_flat.T > 0.0
+            out |= hit & (self.beta[..., None] > 0.0)
+        return out
+
 
 def _ascend_block(pa, ctx: _BlockContext, hold):
     """Batched Blahut–Arimoto ascent over one sender's distributions.
@@ -386,7 +407,11 @@ def _ascend_block(pa, ctx: _BlockContext, hold):
     ``hold`` with a gap within ``_GAP_TOL`` stay put; the others take
     ``_BA_STEPS`` updates.  BA multiplies, so a zero never returns: a row
     whose best input has mass below ``_REVIVE`` first takes a Frank–Wolfe
-    step of that length toward it, too short to lower the objective.
+    step of that length toward it, too short to lower the objective.  A held
+    row whose gap reads within ``_GAP_TOL`` but that has a
+    :meth:`_BlockContext.blind` input is open (gap ``inf``), and that input
+    counts as its best; a row is certified only while held, so this check
+    stays off the rows that take BA steps anyway.
 
     Deterministic for a fixed batch (BLAS may round a row differently in
     another batch shape).  Returns the updated rows and the gaps of the
@@ -395,6 +420,12 @@ def _ascend_block(pa, ctx: _BlockContext, hold):
     grad = ctx.gradient(pa)
     gap = grad.max(axis=1) - (pa * grad).sum(axis=1)
     best = np.argmax(grad, axis=1)
+    low = np.nonzero(hold & (gap <= _GAP_TOL))[0]
+    if len(low):
+        blind = ctx.blind(pa[low], low)
+        hit = blind.any(axis=1)
+        gap[low[hit]] = np.inf
+        best[low[hit]] = blind[hit].argmax(axis=1)
     weight = np.broadcast_to(ctx.coeffs[0] + ctx.coeffs[1], len(pa))
     move = (gap > _GAP_TOL) | ~hold
     starved = pa[np.arange(len(pa)), best] < _REVIVE

@@ -32,16 +32,21 @@ class _CliError(Exception):
         self.message = message
 
 
+def _positive_int(text: str) -> int:
+    try:
+        val = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {val}")
+    return val
+
+
 def _default_threads() -> int:
-    env = os.environ.get("GAMEMAC_THREADS")
-    if env:
-        try:
-            val = int(env)
-            if val >= 1:
-                return val
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    try:
+        return _positive_int(os.environ.get("GAMEMAC_THREADS", ""))
+    except argparse.ArgumentTypeError:
+        return os.cpu_count() or 1
 
 
 def _load_game(arg: str) -> games.Game:
@@ -202,8 +207,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("omega", help="exact classical value under uniform questions")
     p.add_argument("game", help="builtin name (magicsquare, chsh) or game file")
-    p.add_argument("--budget", type=int, default=games.DEFAULT_ENUMERATION_BUDGET)
-    p.add_argument("--threads", type=int, default=threads)
+    p.add_argument(
+        "--budget", type=_positive_int, default=games.DEFAULT_ENUMERATION_BUDGET
+    )
+    p.add_argument("--threads", type=_positive_int, default=threads)
     p.set_defaults(func=_cmd_omega)
 
     p = sub.add_parser("quantum-verify", help="check a built-in quantum strategy")
@@ -222,8 +229,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("game", help="builtin name or game file")
     p.add_argument("--omega", help="classical value as a fraction, e.g. 8/9")
     p.add_argument("--curve", help="write the bound-vs-slack table to this file")
-    p.add_argument("--budget", type=int, default=games.DEFAULT_ENUMERATION_BUDGET)
-    p.add_argument("--threads", type=int, default=threads)
+    p.add_argument(
+        "--budget", type=_positive_int, default=games.DEFAULT_ENUMERATION_BUDGET
+    )
+    p.add_argument("--threads", type=_positive_int, default=threads)
     p.set_defaults(func=_cmd_sumrate_bound)
 
     p = sub.add_parser("region", help="inner bound on the capacity region")

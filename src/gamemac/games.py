@@ -34,8 +34,9 @@ class EnumerationBudgetError(ValueError):
     """Raised when a brute-force enumeration would exceed its budget.
 
     Attributes:
-        required: Number of Bob's deterministic tables, ``ny2**nx2``, that
-            the brute force would enumerate.
+        required: Number of deterministic tables the brute force would
+            enumerate: those of the player with fewer, ``min(ny1**nx1,
+            ny2**nx2)``.
         budget: The configured limit that was exceeded.
     """
 
@@ -43,7 +44,7 @@ class EnumerationBudgetError(ValueError):
         self.required = required
         self.budget = budget
         super().__init__(
-            f"too large for brute force: {required} Bob tables "
+            f"too large for brute force: {required} tables "
             f"exceed the budget of {budget}"
         )
 
@@ -242,43 +243,40 @@ def deterministic_strategy(
     )
 
 
-def _best_in_chunk(win: np.ndarray, start: int, stop: int):
-    """Best (wins, alice_table, bob_index) over Bob tables start..stop-1.
+def _best_in_chunk(win: np.ndarray, start: int, stop: int, transposed: bool):
+    """Best (wins, alice, bob) over tables start..stop-1 of the axis-1 player.
 
-    For each Bob table the optimal Alice reply decomposes per question, so the
-    inner maximization is a per-question argmax instead of a full enumeration.
-    Ties take the lowest answer index, hence the lowest Alice table index.
-    Alice's table is kept as a tuple of answers, never packed into one
-    integer, since ``ny1**nx1`` need not fit in int64; comparing tables
-    lexicographically is the same as comparing their indices.
+    The enumerated player sits on axes 1 and 3 of ``win``: Bob, or Alice
+    when ``transposed``.  For each of its tables the other player's best
+    reply decomposes per question, so the inner maximization is a
+    per-question argmax; ties take the lowest answer, hence the lowest reply
+    table.  Tables are returned as tuples of answers, never packed into one
+    integer, since the reply side's table count need not fit in int64;
+    comparing tables lexicographically is the same as comparing their
+    indices.  Of this chunk's maxima the lowest (Alice, Bob) pair is returned.
     """
     nx1, nx2, ny1, ny2 = win.shape
     idx = np.arange(start, stop, dtype=np.int64)
-    f2 = np.empty((len(idx), nx2), dtype=np.int64)
+    table = np.empty((nx2, len(idx)), dtype=np.int64)
     rem = idx.copy()
-    for x2 in range(nx2 - 1, -1, -1):  # f2[:, 0] is the most significant digit
-        f2[:, x2] = rem % ny2
+    for x2 in range(nx2 - 1, -1, -1):  # table[0] is the most significant digit
+        table[x2] = rem % ny2
         rem //= ny2
     counts = np.zeros((nx1, ny1, len(idx)), dtype=np.int64)
     for x2 in range(nx2):
-        counts += win[:, x2, :, :][:, :, f2[:, x2]]
-    best_y1 = counts.argmax(axis=1)  # (nx1, k); first max = lowest y1
-    wins = np.take_along_axis(counts, best_y1[:, None, :], axis=1)[:, 0, :].sum(axis=0)
+        counts += win[:, x2, :, :][:, :, table[x2]]
+    reply = counts.argmax(axis=1)  # (nx1, k); first max = lowest answer
+    wins = np.take_along_axis(counts, reply[:, None, :], axis=1)[:, 0, :].sum(axis=0)
     top = int(wins.max())
     cand = np.nonzero(wins == top)[0]
+    if transposed:
+        # Alice's table is enumerated: its lowest index wins, Bob replies
+        j = cand[0]
+        return top, tuple(table[:, j].tolist()), tuple(reply[:, j].tolist())
     # lexsort's last key is primary: Alice's question 0, then her later
     # questions, then Bob's index
-    order = np.lexsort(np.vstack((idx[cand], best_y1[::-1, cand])))
-    j = cand[order[0]]
-    return top, tuple(best_y1[:, j].tolist()), int(idx[j])
-
-
-def _decode_table(index: int, n_questions: int, n_answers: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(n_questions):
-        digits.append(index % n_answers)
-        index //= n_answers
-    return tuple(reversed(digits))
+    j = cand[np.lexsort(np.vstack((idx[cand], reply[::-1, cand])))[0]]
+    return top, tuple(reply[:, j].tolist()), tuple(table[:, j].tolist())
 
 
 def omega_uniform_bruteforce(
@@ -288,39 +286,40 @@ def omega_uniform_bruteforce(
 ) -> BruteForceResult:
     """Exact maximal winning probability under uniform questions.
 
-    Enumerates Bob's deterministic tables in the outer loop and derives
-    Alice's best response per question, which is exhaustive because the
-    uniform-question win count is additive over Alice's questions.  The
-    result is exact; among maximizing pairs the one with the lowest
+    Enumerates the deterministic tables of the player with fewer of them,
+    ``min(ny1**nx1, ny2**nx2)`` (Bob's on a tie), and derives the other
+    player's best response per question, which is exhaustive because the
+    uniform-question win count is additive over each player's questions.
+    The result is exact; among maximizing pairs the one with the lowest
     (alice index, bob index) is returned, where a table's index reads its
     answers as base-``ny`` digits with question 0 most significant.
 
     Args:
         g: The game to solve.
-        budget: Maximum number of Bob tables ``ny2**nx2`` allowed before
-            refusing to enumerate.  Alice's side costs no enumeration: her
-            best reply is a per-question argmax.
-        workers: Worker threads for partitioning Bob's tables.  The result
-            is independent of the worker count.
+        budget: Maximum number of tables to enumerate, on the smaller side,
+            before refusing.  The other side costs no enumeration: its best
+            reply is a per-question argmax.
+        workers: Worker threads for partitioning the enumerated tables.  The
+            result is independent of the worker count.
 
     Raises:
-        EnumerationBudgetError: If the Bob-table count exceeds ``budget``.
+        EnumerationBudgetError: If the smaller table count exceeds ``budget``.
     """
-    n_f2 = g.ny2**g.nx2
-    if n_f2 > budget:
-        raise EnumerationBudgetError(n_f2, budget)
-    spans = [(s, min(s + _CHUNK, n_f2)) for s in range(0, n_f2, _CHUNK)]
+    transposed = g.ny1**g.nx1 < g.ny2**g.nx2
+    win = g.win.transpose(1, 0, 3, 2) if transposed else g.win
+    n_tables = win.shape[3] ** win.shape[1]
+    if n_tables > budget:
+        raise EnumerationBudgetError(n_tables, budget)
+    spans = [(s, min(s + _CHUNK, n_tables)) for s in range(0, n_tables, _CHUNK)]
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda sp: _best_in_chunk(g.win, *sp), spans))
+            results = list(
+                pool.map(lambda sp: _best_in_chunk(win, *sp, transposed), spans)
+            )
     else:
-        results = [_best_in_chunk(g.win, *sp) for sp in spans]
-    wins, alice, b_idx = min(results, key=lambda r: (-r[0], r[1], r[2]))
-    return BruteForceResult(
-        value=Fraction(wins, g.nx1 * g.nx2),
-        alice=alice,
-        bob=_decode_table(b_idx, g.nx2, g.ny2),
-    )
+        results = [_best_in_chunk(win, *sp, transposed) for sp in spans]
+    wins, alice, bob = min(results, key=lambda r: (-r[0], r[1], r[2]))
+    return BruteForceResult(Fraction(wins, g.nx1 * g.nx2), alice, bob)
 
 
 def chsh_game() -> Game:

@@ -321,6 +321,25 @@ class TestGapCertificate:
         assert gap[0] <= capacity._GAP_TOL and pa[0, 0] > 0.0
         assert max(g[0] for g in _block_gaps(ws, pa, pb, coeffs)) <= capacity._GAP_TOL
 
+    @pytest.mark.parametrize("mu", [0.5, 1.0])
+    def test_input_reaching_an_unused_output_is_revived(self, mu):
+        # noiseless 2 x 2 channel, from pa = [0, 1]: outputs 0 and 1 have
+        # probability 0 and only input 0 reaches them, so its true slope is
+        # +inf, through H(Z) at mu = 0.5 and H(Z|B) at mu = 1; with log2 0
+        # taken as 0 it reads finite, and the start (0.5) looked certified
+        ws = _Workspace(Mac(2, 2, 4, np.eye(4).reshape(2, 2, 4)))
+        coeffs = _vertex_coeffs(np.array([mu]))
+        pa, pb = np.array([[0.0, 1.0]]), np.array([[0.5, 0.5]])
+        ctx = _BlockContext(pb, ws.chan, ws.rowent, coeffs)
+        moved, gap_a = _ascend_block(pa.copy(), ctx, np.ones(1, dtype=bool))
+        assert gap_a[0] == np.inf and moved[0, 0] > 0.0  # open even when held
+        pa, pb, gap = _alternate(pa, pb, ws, coeffs)
+        objective = _BlockContext(pb, ws.chan, ws.rowent, coeffs).objective(pa)
+        assert objective[0] >= 1.0 - 1e-6
+        worst = max(g[0] for g in _block_gaps(ws, pa, pb, coeffs))
+        assert worst <= capacity._GAP_TOL
+        assert worst == pytest.approx(gap[0], rel=0, abs=1e-12)
+
 
 class TestBatchedSolve:
     @staticmethod
@@ -545,7 +564,7 @@ class TestHastadGame:
             )
         g = hastad_game(clauses)
         assert (g.nx1, g.nx2, g.ny1, g.ny2) == (8, 3, 8, 2)
-        result = omega_uniform_bruteforce(g, budget=2 * 10**8)
+        result = omega_uniform_bruteforce(g)
         assert result.value < 1
         assert result.value == Fraction(23, 24)
 

@@ -60,7 +60,24 @@ class TestOmega:
     def test_budget_exceeded_exits_3(self, run):
         code, _, err = run("omega", "magicsquare", "--budget", "10")
         assert code == 3
-        assert "64" in err  # required Bob-table count carried in the message
+        assert "64" in err  # required table count carried in the message
+
+    @pytest.mark.parametrize("command", ["omega", "sumrate-bound"])
+    def test_nonpositive_budget_exits_2(self, command, capsys):
+        # an input error, not an exceeded budget (exit 3)
+        for value in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "chsh", "--budget", value])
+            assert exc.value.code == 2
+            assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["omega", "sumrate-bound"])
+    def test_nonpositive_threads_exits_2(self, command, capsys):
+        for value in ("0", "-2"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "chsh", "--threads", value])
+            assert exc.value.code == 2
+            assert "positive integer" in capsys.readouterr().err
 
 
 class TestQuantumVerify:

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gamemac import (
+    BruteForceResult,
     EnumerationBudgetError,
     Game,
     GameFormatError,
@@ -13,6 +15,7 @@ from gamemac import (
     PromisedGame,
     chsh_game,
     deterministic_strategy,
+    hastad_game,
     load_game_file,
     losing_probability,
     magic_square_game,
@@ -36,9 +39,14 @@ def uniform_strategy(g: Game) -> ProductStrategy:
     )
 
 
-def brute_force_oracle(g: Game) -> Fraction:
-    """Plain full enumeration over all deterministic pairs, no best-response."""
-    best = 0
+def brute_force_oracle(g: Game) -> BruteForceResult:
+    """Plain full enumeration over all deterministic pairs, no best-response.
+
+    ``ndindex`` runs through Alice's tables, and Bob's for each, in index
+    order, so keeping the first strict improvement returns the maximizing
+    pair with the lowest (Alice index, Bob index).
+    """
+    best = (-1, None, None)
     for a_flat in np.ndindex(*([g.ny1] * g.nx1)):
         for b_flat in np.ndindex(*([g.ny2] * g.nx2)):
             wins = sum(
@@ -46,8 +54,9 @@ def brute_force_oracle(g: Game) -> Fraction:
                 for x1 in range(g.nx1)
                 for x2 in range(g.nx2)
             )
-            best = max(best, wins)
-    return Fraction(best, g.nx1 * g.nx2)
+            if wins > best[0]:
+                best = (wins, a_flat, b_flat)
+    return BruteForceResult(Fraction(best[0], g.nx1 * g.nx2), *best[1:])
 
 
 class TestPromiseFree:
@@ -174,15 +183,23 @@ class TestBruteForce:
         g = chsh_game()
         result = omega_uniform_bruteforce(g)
         assert result.value == Fraction(3, 4)
-        assert brute_force_oracle(g) == Fraction(3, 4)
+        assert brute_force_oracle(g) == result
 
     def test_all_win(self):
         assert omega_uniform_bruteforce(all_win_game()).value == 1
 
-    def test_matches_full_enumeration_on_random_games(self, rng):
-        for _ in range(25):
-            g = random_game(rng, max_size=3)
-            assert omega_uniform_bruteforce(g).value == brute_force_oracle(g)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(*[st.integers(1, 3)] * 4),
+        density=st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+    )
+    def test_matches_full_enumeration_on_random_games(self, seed, shape, density):
+        # either side may be the smaller one; dense tables tie often, so
+        # this checks the lowest (alice, bob) pair as well as the value
+        win = np.random.default_rng(seed).random(shape) < density
+        g = Game(*shape, win)
+        assert omega_uniform_bruteforce(g) == brute_force_oracle(g)
 
     def test_certificate_achieves_value(self, rng):
         for _ in range(25):
@@ -205,21 +222,33 @@ class TestBruteForce:
         g = magic_square_game()
         with pytest.raises(EnumerationBudgetError) as info:
             omega_uniform_bruteforce(g, budget=10)
-        assert info.value.required == 4**3  # Bob tables; Alice needs none
+        assert info.value.required == 4**3  # both players have 4**3 tables
         assert info.value.budget == 10
+        # two clauses over 16 variables: Alice's 8**2 tables are enumerated,
+        # not Bob's 2**16
+        g = hastad_game([(1, 2, 3), (-4, 5, 16)])
+        assert omega_uniform_bruteforce(g, budget=64).value == 1
+        with pytest.raises(EnumerationBudgetError) as info:
+            omega_uniform_bruteforce(g, budget=63)
+        assert info.value.required == 8**2
 
     def test_worker_count_does_not_change_result(self, rng):
-        for _ in range(5):
-            g = random_game(rng, max_size=3)
+        games = [random_game(rng, max_size=3) for _ in range(5)]
+        # five clauses over 16 variables: Alice's 8**5 tables span 4 chunks
+        clauses = [(1, 2, 3), (-3, 4, 5), (6, -7, 8), (9, 10, -11), (-12, 15, 16)]
+        games.append(hastad_game(clauses, n_vars=16))
+        for g in games:
             seq = omega_uniform_bruteforce(g, workers=1)
             par = omega_uniform_bruteforce(g, workers=4)
             assert seq == par
 
     def test_tie_break_lowest_indices(self):
-        # all-win game: every pair is maximal, so both tables must be all zeros
-        result = omega_uniform_bruteforce(all_win_game())
-        assert result.alice == (0, 0)
-        assert result.bob == (0, 0)
+        # all-win game: every pair is maximal, so both tables must be all
+        # zeros, whichever side is enumerated (Bob's, then Alice's)
+        for g in (all_win_game(), all_win_game(nx1=2, nx2=3, ny1=2, ny2=3)):
+            result = omega_uniform_bruteforce(g)
+            assert result.alice == (0,) * g.nx1
+            assert result.bob == (0,) * g.nx2
 
     def test_alice_table_beyond_int64(self, rng):
         # 8**22 = 2**66 Alice tables: her table index does not fit in int64.
