@@ -10,7 +10,9 @@ Three families of results live here:
   minimized over ``delta``;
 * a randomized inner bound on the capacity region, tracing the boundary by
   maximizing weighted pentagon vertices over product input distributions
-  with alternating Blahut–Arimoto block updates stopped on a Frank–Wolfe gap;
+  with alternating Blahut–Arimoto block updates stopped on a Frank–Wolfe gap,
+  shortened by a SQUAREM extrapolation after every second sweep that is
+  kept only where it stays feasible and raises the objective;
 * closed-form achievable rates for channels built from linear-system games,
   plus constructors for those games and for clause/variable games built
   from 3-CNF formulas.
@@ -218,11 +220,9 @@ class InnerPoint:
 
     ``gap`` is the larger of the two block Frank–Wolfe gaps of the weighted
     objective at ``input``: with either sender fixed, the other can raise it
-    by at most ``gap`` bits, except through an input at zero mass that alone
-    reaches an output of probability zero (the gradient takes ``log 0`` as
-    0).  ``converged`` means ``gap <= _GAP_TOL``; a run stopped at
-    ``_MAX_SWEEPS`` before that has ``gap = inf``.  The rate pair is
-    achievable either way.
+    by at most ``gap`` bits.  ``converged`` means ``gap <= _GAP_TOL``; a run
+    stopped at ``_MAX_SWEEPS`` before that has ``gap = inf``.  The rate pair
+    is achievable either way.
     """
 
     r1: float
@@ -443,6 +443,44 @@ def _ascend_block(pa, ctx: _BlockContext, hold):
     return pa, gap
 
 
+def _squarem(x0, x1, pa, pb, ws: _Workspace, coeffs):
+    """Safeguarded SQUAREM jump for rows that took a sweep pair ``x0 -> x1 -> x2``.
+
+    A state is ``x = [pa | pb]`` and ``x2`` is the incoming ``(pa, pb)``.  With
+    ``r = x1 - x0`` and ``v = x2 - x1 - r`` the jump is
+    ``x0 - 2 alpha r + alpha^2 v``, ``alpha = min(-|r| / |v|, -1)``; it is
+    ``x2`` at ``alpha = -1``.  While a jump has a negative entry ``alpha``
+    moves halfway toward -1, at most 10 times, and then to -1.  A row keeps
+    its jump, with each block renormalized, only if ``alpha < -1`` and the
+    weighted objective there is strictly above its value at ``x2``.  Returns
+    the rows' ``pa``, ``pb`` and the indices of the rows that jumped.
+    """
+    x2 = np.hstack([pa, pb])
+    r = x1 - x0
+    v = x2 - x1 - r
+    norm_v = np.linalg.norm(v, axis=1)
+    alpha = -np.linalg.norm(r, axis=1) / np.where(norm_v > 0.0, norm_v, np.inf)
+    alpha = np.minimum(alpha, -1.0)[:, None]
+    x = x0 - 2.0 * alpha * r + alpha**2 * v
+    for _ in range(10):
+        neg = (x < 0.0).any(axis=1)
+        if not neg.any():
+            break
+        alpha[neg] = 0.5 * (alpha[neg] - 1.0)
+        x[neg] = x0[neg] - 2.0 * alpha[neg] * r[neg] + alpha[neg] ** 2 * v[neg]
+    alpha[(x < 0.0).any(axis=1)] = -1.0
+    na = pa.shape[1]
+    jump = np.nonzero(alpha[:, 0] < -1.0)[0]
+    xa, xb = x[jump, :na], x[jump, na:]
+    xa, xb = xa / xa.sum(axis=1, keepdims=True), xb / xb.sum(axis=1, keepdims=True)
+    c = [k[jump] for k in coeffs]
+    before = _BlockContext(pb[jump], ws.chan, ws.rowent, c).objective(pa[jump])
+    keep = _BlockContext(xb, ws.chan, ws.rowent, c).objective(xa) > before
+    jump = jump[keep]
+    pa[jump], pb[jump] = xa[keep], xb[keep]
+    return pa, pb, jump
+
+
 def _alternate(pa, pb, ws: _Workspace, coeffs):
     """Alternating block ascent over the two input distributions.
 
@@ -450,15 +488,24 @@ def _alternate(pa, pb, ws: _Workspace, coeffs):
     is held only when its gap and the other block's last gap are both within
     ``_GAP_TOL`` (holding it sooner can strand mass that keeps the other
     block creeping); a row stops in the first sweep that holds both, so its
-    two gaps are measured at the returned ``(pa, pb)``.  Returns the batches
+    two gaps are measured at the returned ``(pa, pb)``.
+
+    The two blocks zigzag, so an open row's gaps can shrink by only a few
+    percent a sweep.  After every second sweep each row still open tries a
+    :func:`_squarem` jump extrapolated from the states before and after the
+    pair.  A row that jumps has no second-block gap at its new point, so it
+    is not held in the next sweep; it can certify only in a later sweep,
+    which measures both gaps at the point it returns.  Returns the batches
     and each row's larger gap, ``inf`` if still open after ``_MAX_SWEEPS``.
     """
     gap = np.full(len(pa), np.inf)
     gap_b = np.full(len(pa), np.inf)
-    for _ in range(_MAX_SWEEPS):
+    for sweep in range(_MAX_SWEEPS):
         idx = np.nonzero(np.isinf(gap))[0]
         if len(idx) == 0:
             break
+        if sweep % 2 == 0:
+            x0 = np.hstack([pa, pb])
         c = [x[idx] for x in coeffs]
         hold = gap_b[idx] <= _GAP_TOL
         ctx_a = _BlockContext(pb[idx], ws.chan, ws.rowent, c)
@@ -467,6 +514,14 @@ def _alternate(pa, pb, ws: _Workspace, coeffs):
         pb[idx], gap_b[idx] = _ascend_block(pb[idx], ctx_b, gap_a <= _GAP_TOL)
         both = np.maximum(gap_a, gap_b[idx])
         gap[idx] = np.where(hold & (both <= _GAP_TOL), both, np.inf)
+        if sweep % 2 == 0:
+            x1 = np.hstack([pa, pb])
+        else:
+            rows = np.nonzero(np.isinf(gap))[0]
+            pa[rows], pb[rows], jumped = _squarem(
+                x0[rows], x1[rows], pa[rows], pb[rows], ws, [x[rows] for x in coeffs]
+            )
+            gap_b[rows[jumped]] = np.inf
     return pa, pb, gap
 
 

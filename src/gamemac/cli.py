@@ -42,6 +42,16 @@ def _positive_int(text: str) -> int:
     return val
 
 
+def _tolerance(text: str) -> float:
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= val < 1.0:  # false for nan too
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text}")
+    return val
+
+
 def _default_threads() -> int:
     try:
         return _positive_int(os.environ.get("GAMEMAC_THREADS", ""))
@@ -215,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantum-verify", help="check a built-in quantum strategy")
     p.add_argument("builtin", help="builtin strategy name (magicsquare)")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-9)
     p.add_argument(
         "--swap-bob",
         nargs=2,

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gamemac import (
     Mac,
@@ -289,10 +289,14 @@ class TestGapCertificate:
             if not w.converged:
                 continue
             pa, pb = w.input.p_a[None, :], w.input.p_b[None, :]
-            gaps = _block_gaps(ws, pa, pb, _vertex_coeffs(mus[w.mu_index : w.mu_index + 1]))
-            worst = max(g[0] for g in gaps)
+            coeffs = _vertex_coeffs(mus[w.mu_index : w.mu_index + 1])
+            worst = max(g[0] for g in _block_gaps(ws, pa, pb, coeffs))
             assert worst <= capacity._GAP_TOL
             assert worst == pytest.approx(w.gap, rel=0, abs=1e-12)
+            # no zero-mass input hides an infinite slope behind a finite gap
+            ct = (coeffs[0], coeffs[2], coeffs[1], coeffs[3])
+            assert not _BlockContext(pb, ws.chan, ws.rowent, coeffs).blind(pa).any()
+            assert not _BlockContext(pa, ws.chan_t, ws.rowent_t, ct).blind(pb).any()
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -341,6 +345,47 @@ class TestGapCertificate:
         assert worst == pytest.approx(gap[0], rel=0, abs=1e-12)
 
 
+class TestExtrapolation:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        # a subnormal weight overflows the BA exponent
+        mus=st.lists(
+            st.floats(0.0, 1.0, allow_subnormal=False), min_size=1, max_size=4
+        ),
+    )
+    def test_jump_stays_feasible_and_never_lowers_objective(self, seed, mus):
+        # every extrapolating sweep pair of a run, against the same two
+        # sweeps without the jump (the state the jump starts from)
+        rng = np.random.default_rng(seed)
+        ws = _Workspace(mac_from_game(random_game(rng, max_size=3)))
+        na, nb = ws.chan.shape[:2]
+        coeffs = _vertex_coeffs(np.array(mus))
+        pa = rng.dirichlet(np.ones(na), size=len(mus))
+        pb = rng.dirichlet(np.ones(nb), size=len(mus))
+        squarem = capacity._squarem
+
+        def checked(x0, x1, pa, pb, ws, coeffs):
+            before = _BlockContext(pb, ws.chan, ws.rowent, coeffs).objective(pa)
+            xa, xb, jumped = squarem(x0, x1, pa.copy(), pb.copy(), ws, coeffs)
+            stayed = np.setdiff1d(np.arange(len(pa)), jumped)
+            assert (xa[stayed] == pa[stayed]).all() and (xb[stayed] == pb[stayed]).all()
+            for p in (xa, xb):
+                assert (p >= 0.0).all()
+                assert np.abs(p.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-12
+            after = _BlockContext(xb, ws.chan, ws.rowent, coeffs).objective(xa)
+            assert (after >= before - 1e-12).all()
+            return xa, xb, jumped
+
+        # a weight within about 1e-4 of 0 or 1 can leave a row open for every
+        # sweep; 100 sweeps still give such a row 50 extrapolating pairs
+        with (
+            mock.patch.object(capacity, "_squarem", checked),
+            mock.patch.object(capacity, "_MAX_SWEEPS", 100),
+        ):
+            _alternate(pa, pb, ws, coeffs)
+
+
 class TestBatchedSolve:
     @staticmethod
     def scalar_coeffs(mu):
@@ -350,6 +395,7 @@ class TestBatchedSolve:
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), restarts=st.integers(1, 3))
+    @example(seed=57065, restarts=2)  # a 9 x 6 -> 9 game whose mu = 0.75 row zigzags
     def test_mixed_weight_batch_matches_each_weight_alone(self, seed, restarts):
         # every row's weighted optimum is the same whether its weight shares
         # the batch with other weights or is solved alone
@@ -367,12 +413,14 @@ class TestBatchedSolve:
         def value(pa, pb, coeffs):
             return _BlockContext(pb, ws.chan, ws.rowent, coeffs).objective(pa)
 
-        ba, bb, _ = _alternate(pa.copy(), pb.copy(), ws, coeffs)
+        ba, bb, gap = _alternate(pa.copy(), pb.copy(), ws, coeffs)
+        assert (gap <= capacity._GAP_TOL).all()  # every row certified, none capped
         batched = value(ba, bb, coeffs)
         for mu in np.unique(mus):
             rows = np.nonzero(mus == mu)[0]
             alone = tuple(np.full(len(rows), c) for c in self.scalar_coeffs(mu))
-            sa, sb, _ = _alternate(pa[rows].copy(), pb[rows].copy(), ws, alone)
+            sa, sb, gap = _alternate(pa[rows].copy(), pb[rows].copy(), ws, alone)
+            assert (gap <= capacity._GAP_TOL).all()
             assert np.abs(value(sa, sb, alone) - batched[rows]).max() <= 1e-9
 
     def test_chsh_witnesses_converge(self):

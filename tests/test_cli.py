@@ -106,6 +106,16 @@ class TestQuantumVerify:
         code, _, err = run("quantum-verify", "nosuchgame")
         assert code == 2
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "1"])
+    def test_tolerance_outside_unit_interval_exits_2(self, capsys, tolerance):
+        # with the negative control, nan and inf would otherwise pass and -1
+        # would report a failed verification for what is an input error
+        argv = ["quantum-verify", "magicsquare", "--swap-bob", "0", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--tolerance={tolerance}"])
+        assert exc.value.code == 2
+        assert "[0, 1)" in capsys.readouterr().err
+
 
 class TestSumrateBound:
     def test_magicsquare_headline(self, run):
