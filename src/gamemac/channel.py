@@ -48,8 +48,8 @@ class Mac:
                 f"channel table has shape {arr.shape}, expected "
                 f"({self.na}, {self.nb}, {self.nz})"
             )
-        if (arr < 0).any():
-            raise ValueError("channel table has negative entries")
+        if not np.isfinite(arr).all() or (arr < 0).any():  # nan passes a sum test
+            raise ValueError("channel table entries must be finite and nonnegative")
         if np.abs(arr.sum(axis=2) - 1.0).max() > 1e-12:
             raise ValueError("every conditional row must sum to 1")
         arr.setflags(write=False)
@@ -66,7 +66,8 @@ class ProductInput:
     def __post_init__(self):
         for name in ("p_a", "p_b"):
             vec = np.asarray(getattr(self, name), dtype=float).copy()
-            if vec.ndim != 1 or (vec < 0).any() or abs(vec.sum() - 1.0) > 1e-12:
+            # `>= 0` is false for nan; an inf fails the sum test
+            if vec.ndim != 1 or not (vec >= 0).all() or abs(vec.sum() - 1.0) > 1e-12:
                 raise ValueError(f"{name} must be a probability vector")
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
@@ -117,8 +118,8 @@ class Encoding:
                 f"encoding table has shape {arr.shape}, expected "
                 f"({self.n_a1}, {self.n_b1}, {self.na}, {self.nb})"
             )
-        if (arr < 0).any():
-            raise ValueError("encoding table has negative entries")
+        if not np.isfinite(arr).all() or (arr < 0).any():
+            raise ValueError("encoding table entries must be finite and nonnegative")
         if np.abs(arr.sum(axis=(2, 3)) - 1.0).max() > 1e-10:
             raise ValueError("conditional distributions must sum to 1")
         arr.setflags(write=False)
@@ -168,8 +169,8 @@ def compose(n: Mac, e: Encoding) -> Mac:
             f"encoding outputs ({e.na}, {e.nb}) do not match channel inputs "
             f"({n.na}, {n.nb})"
         )
-    p = np.einsum("abz,cdab->cdz", n.p, e.p, optimize=True)
-    return Mac(e.n_a1, e.n_b1, n.nz, p)
+    p = e.p.reshape(e.n_a1 * e.n_b1, n.na * n.nb) @ n.p.reshape(n.na * n.nb, n.nz)
+    return Mac(e.n_a1, e.n_b1, n.nz, p.reshape(e.n_a1, e.n_b1, n.nz))
 
 
 def _entropy_raw(p: np.ndarray) -> float:
@@ -182,11 +183,11 @@ def _entropy_raw(p: np.ndarray) -> float:
 def entropy(p) -> float:
     """Shannon entropy of a probability vector, in bits.
 
-    Raises ValueError for negative entries or a non-normalized vector.
+    Raises ValueError for negative or nan entries or a non-normalized vector.
     """
     vec = np.asarray(p, dtype=float)
-    if (vec < 0).any():
-        raise ValueError("probabilities must be nonnegative")
+    if not (vec >= 0).all():  # false for nan; an inf fails the sum test
+        raise ValueError("probabilities must be nonnegative, not nan")
     if abs(vec.sum() - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {vec.sum()!r}, not 1")
     return _entropy_raw(vec)
@@ -256,23 +257,35 @@ def sum_rate_identity_check(g: Game, s: ProductStrategy) -> tuple[float, float]:
 
 
 def write_mac_file(path, n: Mac) -> None:
-    """Write a channel in the text format, 17 significant digits per entry.
+    """Write a channel in the text format, ``%.17g`` (lossless) per entry.
 
     Format: header ``mac na nb nz`` then ``na*nb`` rows of ``nz`` entries,
-    ordered a-major (row index ``a * nb + b``).
+    ordered a-major (row index ``a * nb + b``).  Each distinct row is
+    formatted once, by one ``%`` over all of them; game channels repeat a
+    few rows many times.  Rows are compared bit for bit, so ``-0.0`` still
+    prints as ``-0``.
     """
+    rows = n.p.reshape(-1, n.nz)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * n.nz))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    line = " ".join(["%.17g"] * n.nz) + "\n"
+    text = (line * len(first)) % tuple(rows[first].ravel().tolist())
+    distinct = text.splitlines(keepends=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"mac {n.na} {n.nb} {n.nz}\n")
-        for a in range(n.na):
-            for b in range(n.nb):
-                fh.write(" ".join("%.17g" % v for v in n.p[a, b]) + "\n")
+        fh.write("".join([distinct[i] for i in inverse.tolist()]))
 
 
 def load_mac_file(path) -> Mac:
-    """Load a channel written by :func:`write_mac_file` (lossless round-trip)."""
+    """Load a channel written by :func:`write_mac_file` (lossless round-trip).
+
+    Each distinct row is split and parsed (with ``float``) once.  Raises
+    :class:`MacFormatError` for a malformed file, naming the first bad row,
+    and for a table that is not a channel (non-finite, negative or
+    unnormalized entries).
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
+        lines = [ln for ln in map(str.strip, fh) if ln]
     if not lines:
         raise MacFormatError(f"{path}: empty channel file")
     head = lines[0].split()
@@ -284,20 +297,27 @@ def load_mac_file(path) -> Mac:
         raise MacFormatError(f"{path}: non-integer alphabet size") from exc
     if min(na, nb, nz) < 1:
         raise MacFormatError(f"{path}: alphabet sizes must be >= 1")
-    if len(lines) - 1 != na * nb:
+    rows = lines[1:]
+    if len(rows) != na * nb:
         raise MacFormatError(
-            f"{path}: expected {na * nb} probability rows, found {len(lines) - 1}"
+            f"{path}: expected {na * nb} probability rows, found {len(rows)}"
         )
-    p = np.empty((na, nb, nz))
-    for i, ln in enumerate(lines[1:]):
-        tok = ln.split()
-        if len(tok) != nz:
-            raise MacFormatError(f"{path}: row {i} has {len(tok)} entries, expected {nz}")
-        try:
-            p[i // nb, i % nb] = [float(t) for t in tok]
-        except ValueError as exc:
-            raise MacFormatError(f"{path}: non-numeric entry in row {i}") from exc
+    index = {ln: i for i, ln in enumerate(dict.fromkeys(rows))}
     try:
-        return Mac(na, nb, nz, p)
+        table = np.array([list(map(float, ln.split())) for ln in index])
+    except ValueError:  # a non-number, or rows of different lengths
+        table = None
+    if table is None or table.shape != (len(index), nz):
+        for i, ln in enumerate(rows):  # name the first bad row
+            tok = ln.split()
+            if len(tok) != nz:
+                raise MacFormatError(f"{path}: row {i} has {len(tok)} entries, expected {nz}")
+            try:
+                list(map(float, tok))
+            except ValueError as exc:
+                raise MacFormatError(f"{path}: non-numeric entry in row {i}") from exc
+    p = table[np.fromiter(map(index.__getitem__, rows), np.intp, len(rows))]
+    try:
+        return Mac(na, nb, nz, p.reshape(na, nb, nz))
     except ValueError as exc:
         raise MacFormatError(f"{path}: {exc}") from exc

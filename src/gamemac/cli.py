@@ -10,6 +10,7 @@ for channels, 6 decimals for plot data).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -208,12 +209,19 @@ def _cmd_lsg_rates(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, with ``--threads`` defaulting to the current GAMEMAC_THREADS."""
+    return _parser(_default_threads())
+
+
+@functools.lru_cache(maxsize=4)
+def _parser(threads: int) -> argparse.ArgumentParser:
+    # Built once per thread default: parse_args keeps no state on the parser,
+    # and building it costs more than most commands.
     parser = argparse.ArgumentParser(
         prog="gamemac",
         description="Analyze multiple access channels built from two-player games.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    threads = _default_threads()
 
     p = sub.add_parser("omega", help="exact classical value under uniform questions")
     p.add_argument("game", help="builtin name (magicsquare, chsh) or game file")
@@ -267,8 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

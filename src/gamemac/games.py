@@ -133,8 +133,8 @@ class ProductStrategy:
             mat = np.asarray(getattr(self, name), dtype=float).copy()
             if mat.ndim != 2:
                 raise ValueError(f"{name} must be a 2-d stochastic matrix")
-            if (mat < 0).any():
-                raise ValueError(f"{name} has negative entries")
+            if not (mat >= 0).all():  # false for nan; an inf fails the sum test
+                raise ValueError(f"{name} has negative or nan entries")
             if np.abs(mat.sum(axis=0) - 1.0).max() > 1e-12:
                 raise ValueError(f"columns of {name} must sum to 1")
             mat.setflags(write=False)
@@ -144,7 +144,7 @@ class ProductStrategy:
             if pi is None:
                 continue
             pi = np.asarray(pi, dtype=float).copy()
-            if pi.ndim != 1 or (pi < 0).any() or abs(pi.sum() - 1.0) > 1e-12:
+            if pi.ndim != 1 or not (pi >= 0).all() or abs(pi.sum() - 1.0) > 1e-12:
                 raise ValueError(f"{name} must be a probability vector")
             pi.setflags(write=False)
             object.__setattr__(self, name, pi)
@@ -218,8 +218,7 @@ def winning_probability(g: Game, s: ProductStrategy) -> float:
         s.pi_x2,
         s.p_y1_given_x1,
         s.p_y2_given_x2,
-        optimize=True,
-    )
+    )  # every index lies on the win table, so one pass beats a contraction path
     return float(min(max(val, 0.0), 1.0))
 
 

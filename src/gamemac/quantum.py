@@ -257,7 +257,7 @@ def strategy_winning_probability(
     if pi1.shape != (g.nx1,) or pi2.shape != (g.nx2,):
         raise ValueError("question marginal lengths do not match the game")
     corr = correlation(qs)
-    val = np.einsum("ijkl,ijkl,i,j->", g.win, corr, pi1, pi2, optimize=True)
+    val = np.einsum("ijkl,ijkl,i,j->", g.win, corr, pi1, pi2)  # one pass is optimal
     return float(min(max(val, 0.0), 1.0))
 
 

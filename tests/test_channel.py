@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gamemac import (
+    Encoding,
     Mac,
     MacFormatError,
     ProductInput,
@@ -62,6 +63,21 @@ class TestMacValidation:
         p[0, 0] = [1.5, -0.5]
         with pytest.raises(ValueError):
             Mac(1, 1, 2, p)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # nan slips past both `< 0` and the row-sum test unless finiteness
+        # is required; an inf next to a -inf could cancel in a sum
+        with pytest.raises(ValueError):
+            Mac(1, 1, 2, [[[bad, 1.0]]])
+        with pytest.raises(ValueError):
+            Mac(1, 1, 2, [[[bad, bad]]])
+        with pytest.raises(ValueError):
+            Encoding(1, 1, 1, 2, [[[[bad, 1.0]]]])
+        with pytest.raises(ValueError):
+            ProductInput([bad, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError):
+            ProductInput([0.5, 0.5], [bad, bad])
 
 
 class TestMacFromGame:
@@ -141,6 +157,10 @@ class TestEntropy:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             entropy([0.5, 0.6])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            entropy([math.nan, 1.0])
 
 
 class TestPentagon:
@@ -243,25 +263,56 @@ class TestStrategyInput:
             strategy_input(s)
 
 
+def reference_mac_text(n: Mac) -> str:
+    """The channel file, formatted one entry at a time."""
+    lines = [f"mac {n.na} {n.nb} {n.nz}\n"]
+    for a in range(n.na):
+        for b in range(n.nb):
+            lines.append(" ".join("%.17g" % v for v in n.p[a, b]) + "\n")
+    return "".join(lines)
+
+
+def check_mac_file(path, n: Mac) -> None:
+    """Written bytes match the reference; loading gives the table bit for bit."""
+    write_mac_file(path, n)
+    assert path.read_text(encoding="utf-8") == reference_mac_text(n)
+    again = load_mac_file(path)
+    assert (again.na, again.nb, again.nz) == (n.na, n.nb, n.nz)
+    assert again.p.tobytes() == n.p.tobytes()
+
+
 class TestMacFile:
     def test_round_trip_bit_exact(self, tmp_path, rng):
-        g = random_game(rng)
-        n = mac_from_game(g)
-        path = tmp_path / "chan.txt"
-        write_mac_file(path, n)
-        again = load_mac_file(path)
-        assert (again.p == n.p).all()
-        assert (again.na, again.nb, again.nz) == (n.na, n.nb, n.nz)
+        for g in (magic_square_game(), random_game(rng)):
+            check_mac_file(tmp_path / "chan.txt", mac_from_game(g))
 
     def test_composed_channel_round_trip(self, tmp_path):
         n = mac_from_game(magic_square_game())
         enc = to_classical_channel(
             magic_square_strategy(), identity_post(3, 4), identity_post(3, 4), 12, 12
         )
-        total = compose(n, enc)
-        path = tmp_path / "total.txt"
-        write_mac_file(path, total)
-        assert (load_mac_file(path).p == total.p).all()
+        check_mac_file(tmp_path / "total.txt", compose(n, enc))
+
+    def test_values_whose_17_digits_differ_from_repr(self, tmp_path):
+        third = 1.0 / 3.0
+        assert "%.17g" % 0.1 != repr(0.1) and "%.17g" % third != repr(third)
+        rows = [
+            [0.1, 0.2, 0.7],
+            [third, third, 1.0 - 2 * third],
+            [0.1, 0.2, 0.7],
+            [0.0, 0.5, 0.5],
+            [-0.0, 0.5, 0.5],  # bit-distinct from the row above
+            [1e-300, 0.5, 0.5 - 1e-300],
+        ]
+        check_mac_file(tmp_path / "chan.txt", Mac(2, 3, 3, np.reshape(rows, (2, 3, 3))))
+
+    def test_random_channels_with_repeated_rows(self, tmp_path, rng):
+        for _ in range(5):
+            na, nb, nz = rng.integers(1, 6, size=3)
+            p = rng.random((na, nb, nz)) ** 4
+            p[rng.random((na, nb)) < 0.3] = p[0, 0]
+            p /= p.sum(axis=2, keepdims=True)
+            check_mac_file(tmp_path / "chan.txt", Mac(na, nb, nz, p))
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -280,3 +331,28 @@ class TestMacFile:
         path.write_text("mac 1 1 2\n0.6 0.6\n")
         with pytest.raises(MacFormatError):
             load_mac_file(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty channel file"),
+            ("\n  \n", "empty channel file"),
+            ("mac 2 x 2\n", "non-integer alphabet size"),
+            ("mac 1 0 2\n", "alphabet sizes must be >= 1"),
+            ("mac 1 2 2\n0.5 0.5\n1\n", "row 1 has 1 entries, expected 2"),
+            ("mac 1 2 2\n0.5 0.5\n1 0 0\n", "row 1 has 3 entries, expected 2"),
+            ("mac 2 1 2\n0.5 0.5\n0.5 abc\n", "non-numeric entry in row 1"),
+            # the first bad row is named, whatever is wrong with later ones
+            ("mac 3 1 2\n1 0\n0.5 x\n1\n", "non-numeric entry in row 1"),
+            ("mac 3 1 2\n1 0\n1\n0.5 x\n", "row 1 has 1 entries, expected 2"),
+            ("mac 1 1 2\nnan nan\n", "finite"),
+            ("mac 1 1 2\nnan 1\n", "finite"),
+            ("mac 1 1 2\ninf 0\n", "finite"),
+        ],
+    )
+    def test_malformed_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(MacFormatError, match=message):
+            load_mac_file(path)
+

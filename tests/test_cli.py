@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gamemac
-from gamemac import load_mac_file, mac_from_game, magic_square_game
+from gamemac import cli, load_mac_file, mac_from_game, magic_square_game
 from gamemac.cli import _build_parser, main
 
 
@@ -194,6 +194,14 @@ class TestRegion:
         code, out, _ = run("region", str(path), "--restarts", "2", "--seed", "0")
         assert code == 0
 
+    @pytest.mark.parametrize("row", ["nan nan", "nan 1", "inf 0"])
+    def test_non_finite_mac_file_exits_2(self, run, tmp_path, row):
+        path = write_game(tmp_path, f"mac 1 1 2\n{row}\n", name="bad.mac")
+        code, out, err = run("region", path, "--restarts", "1")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_bad_header_exits_2(self, run, tmp_path):
         path = write_game(tmp_path, "nonsense 1 2\n")
         code, _, _ = run("region", path, "--restarts", "1")
@@ -298,3 +306,29 @@ class TestConsoleEntry:
         threads = (os.cpu_count() or 1) + 1
         monkeypatch.setenv("GAMEMAC_THREADS", str(threads))
         assert _build_parser().parse_args(["omega", "chsh"]).threads == threads
+
+
+class TestParserReuse:
+    """``main`` reuses one parser; no call may see another call's arguments."""
+
+    def test_swap_does_not_leak_into_the_next_call(self, run):
+        code, _, _ = run("quantum-verify", "magicsquare", "--swap-bob", "0", "2")
+        assert code == 1
+        code, out, err = run("quantum-verify", "magicsquare")
+        assert code == 0 and err == ""
+        assert out == "1.000000000 1.000000000 1.000000000\n" * 3
+
+    def test_thread_default_is_read_on_every_call(self, run, monkeypatch):
+        seen = []
+        real = cli.games.omega_uniform_bruteforce
+
+        def spy(g, budget, workers):
+            seen.append(workers)
+            return real(g, budget=budget, workers=workers)
+
+        monkeypatch.setattr(cli.games, "omega_uniform_bruteforce", spy)
+        for threads in (3, 5, 3):
+            monkeypatch.setenv("GAMEMAC_THREADS", str(threads))
+            code, out, _ = run("omega", "chsh")
+            assert code == 0 and "omega_U = 3/4" in out
+        assert seen == [3, 5, 3]

@@ -151,6 +151,13 @@ class TestWinningProbability:
         with pytest.raises(ValueError):
             winning_probability(g, s)
 
+    def test_nan_entries_rejected(self):
+        half = np.full((2, 2), 0.5)
+        with pytest.raises(ValueError):
+            ProductStrategy(np.array([[np.nan, 0.5], [np.nan, 0.5]]), half)
+        with pytest.raises(ValueError):
+            ProductStrategy(half, half, [np.nan, 1.0], [0.5, 0.5])
+
     def test_affine_in_strategy_mixture(self, rng):
         for _ in range(20):
             g = random_game(rng)
