@@ -337,13 +337,8 @@ class _BlockContext:
         sub._set_rows(self.pb[rows], self.cond_a[rows], self.lin[rows], coeffs)
         return sub
 
-    def objective(self, pa, rows=None):
-        """Objective values for candidate rows ``pa``, one per batch row.
-
-        With ``rows`` given, ``pa`` is aligned with those rows of the batch.
-        """
-        if rows is not None:
-            return self.restrict(rows).objective(pa)
+    def objective(self, pa):
+        """Objective values for candidate rows ``pa``, one per batch row."""
         out = -(pa * self.lin).sum(axis=1)
         if self.alpha is not None:
             pz = np.matmul(pa[:, None, :], self.cond_a)[:, 0, :]
@@ -353,10 +348,8 @@ class _BlockContext:
             out = out + self.beta * (self.pb * _row_entropies(q)).sum(axis=1)
         return out
 
-    def gradient(self, pa, rows=None):
+    def gradient(self, pa):
         """Gradient of :meth:`objective` with respect to ``pa``."""
-        if rows is not None:
-            return self.restrict(rows).gradient(pa)
         grad = -self.lin
         if self.alpha is not None:
             pz = np.matmul(pa[:, None, :], self.cond_a)[:, 0, :]
@@ -370,15 +363,13 @@ class _BlockContext:
             grad = grad - self.beta[..., None] * (weighted @ self.chan_flat.T)
         return grad
 
-    def blind(self, pa, rows=None):
+    def blind(self, pa):
         """Inputs whose slope :meth:`gradient` reads finite but is ``+inf``.
 
         Such an input reaches an output that has probability 0 in an entropy
         term with a positive coefficient; ``_log2`` takes ``log 0`` as 0
         there.  Only an input at (or underflowing to) zero mass can.
         """
-        if rows is not None:
-            return self.restrict(rows).blind(pa)
         out = np.zeros(pa.shape, dtype=bool)
         if self.alpha is not None:
             dead = np.matmul(pa[:, None, :], self.cond_a)[:, 0, :] <= 0.0
@@ -422,7 +413,7 @@ def _ascend_block(pa, ctx: _BlockContext, hold):
     best = np.argmax(grad, axis=1)
     low = np.nonzero(hold & (gap <= _GAP_TOL))[0]
     if len(low):
-        blind = ctx.blind(pa[low], low)
+        blind = ctx.restrict(low).blind(pa[low])
         hit = blind.any(axis=1)
         gap[low[hit]] = np.inf
         best[low[hit]] = blind[hit].argmax(axis=1)

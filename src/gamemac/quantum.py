@@ -13,12 +13,13 @@ state ``i`` and Bob basis state ``j``.  Every operator product written
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Sequence
 
 import numpy as np
 
 from .channel import Encoding
-from .games import Game
+from .games import MAGIC_SQUARE_ALICE_ANSWERS, MAGIC_SQUARE_BOB_ANSWERS, Game
 
 _NORM_TOL = 1e-10
 _HERM_TOL = 1e-10
@@ -171,75 +172,60 @@ def correlation(qs: QuantumStrategy) -> np.ndarray:
     return table
 
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
+_PAULIS = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]),
+}
 
-# Alice's measurement bases, one unitary per row question.  Measuring
-# U_r |psi> in the computational basis and completing the two outcome bits to
-# even parity answers the magic square game perfectly against Bob's V_c below.
-_MS_ROW_UNITARIES = (
-    _SQRT_HALF
-    * np.array(
-        [[1j, 0, 0, 1], [0, -1j, 1, 0], [0, 1j, 1, 0], [1, 0, 0, 1j]], dtype=complex
-    ),
-    0.5
-    * np.array(
-        [[1j, 1, 1, 1j], [-1j, 1, -1, 1j], [1j, 1, -1, -1j], [-1j, 1, 1, -1j]],
-        dtype=complex,
-    ),
-    0.5
-    * np.array(
-        [[-1, -1, -1, 1], [1, 1, -1, 1], [1, -1, 1, 1], [1, -1, -1, -1]],
-        dtype=complex,
-    ),
-)
-
-# Bob's per-column unitaries; his outcome bits are completed to odd parity.
-_MS_COLUMN_UNITARIES = (
-    0.5
-    * np.array(
-        [[1j, -1j, 1, 1], [-1j, -1j, 1, -1], [1, 1, -1j, 1j], [-1j, 1j, 1, 1]],
-        dtype=complex,
-    ),
-    0.5
-    * np.array(
-        [[-1, 1j, 1, 1j], [1, 1j, 1, -1j], [1, -1j, 1, 1j], [-1, -1j, 1, -1j]],
-        dtype=complex,
-    ),
-    _SQRT_HALF
-    * np.array(
-        [[1, 0, 0, 1], [-1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex
-    ),
+# The Mermin–Peres square of two-qubit observables, shape (row, column, 4, 4),
+# first qubit major.  Observables sharing a row or column commute; each row
+# multiplies to +I and each column to -I.
+_MERMIN_PERES = np.array(
+    [
+        [
+            (-1 if op[0] == "-" else 1) * np.kron(_PAULIS[op[-2]], _PAULIS[op[-1]])
+            for op in row.split()
+        ]
+        for row in ("XI IX XX", "IZ ZI ZZ", "-XZ -ZX YY")
+    ],
+    dtype=complex,
 )
 
 
-def _basis_povm(u: np.ndarray) -> Povm:
-    """Projective POVM for measuring ``u |psi>`` in the computational basis.
+def _context_povms(contexts: np.ndarray, answers) -> list[Povm]:
+    """Joint measurements of three commuting ``+-1`` observables per question.
 
-    Outcome ``k`` has element ``u^dag |k><k| u``, a rank-1 projector.
+    ``contexts[q, k]`` is the ``k``-th observable of question ``q``.  Bit
+    ``b`` of an answer stands for the eigenvalue ``(-1)^b``, so answer ``y``
+    has the element ``prod_k (I + (-1)^answers[y][k] O_k) / 2``.
     """
-    return Povm(np.einsum("ki,kj->kij", u.conj(), u))
+    signs = 1 - 2 * np.array(answers)  # (n_answers, 3)
+    eye = np.eye(contexts.shape[-1])
+    f = (eye + signs[:, :, None, None] * contexts[:, None]) / 2
+    return [Povm(e) for e in f[:, :, 0] @ f[:, :, 1] @ f[:, :, 2]]
 
 
+@functools.cache
 def magic_square_strategy() -> QuantumStrategy:
-    """The perfect strategy for the magic square game.
+    """The perfect strategy for the magic square game, built once and shared.
 
-    The players share the two-ququart state
-    ``(|0>|3> + |3>|0> - |1>|2> - |2>|1>) / 2`` (each local ququart holds two
-    qubits, bit 0 major).  On question ``r`` Alice measures in the basis
-    rotated by her row unitary; the two outcome bits plus an even-parity
-    completion form her answer, indexed exactly as in
-    ``games.MAGIC_SQUARE_ALICE_ANSWERS``.  Bob does the same with his column
-    unitaries and an odd-parity completion.  The resulting correlation is
-    supported on winning tuples for all nine question pairs.
+    The players share two Bell pairs, the ququart state ``sum_i |i>|i> / 2``.
+    On row ``r`` Alice measures row ``r`` of the Mermin–Peres square
+    ``XI IX XX / IZ ZI ZZ / -XZ -ZX YY``; on column ``c`` Bob measures the
+    complex conjugates of column ``c``.  Answer bit ``b`` is the eigenvalue
+    ``(-1)^b`` of the cell's observable, with answers indexed as in
+    ``games.MAGIC_SQUARE_ALICE_ANSWERS`` / ``MAGIC_SQUARE_BOB_ANSWERS``: rows
+    multiply to +I (even parity), columns to -I (odd parity).  Since
+    ``O (x) conj(O)`` has expectation 1 on this state, both players read the
+    same bit in the shared cell and every question pair wins with probability
+    exactly 1.
     """
-    amp = np.zeros(16, dtype=complex)
-    amp[0 * 4 + 3] = 0.5
-    amp[3 * 4 + 0] = 0.5
-    amp[1 * 4 + 2] = -0.5
-    amp[2 * 4 + 1] = -0.5
-    state = PureState(amp, 4, 4)
-    alice = [_basis_povm(u) for u in _MS_ROW_UNITARIES]
-    bob = [_basis_povm(v) for v in _MS_COLUMN_UNITARIES]
+    state = PureState(np.eye(4).ravel() / 2, 4, 4)
+    alice = _context_povms(_MERMIN_PERES, MAGIC_SQUARE_ALICE_ANSWERS)
+    columns = _MERMIN_PERES.swapaxes(0, 1).conj()
+    bob = _context_povms(columns, MAGIC_SQUARE_BOB_ANSWERS)
     return QuantumStrategy(state, alice, bob)
 
 

@@ -206,11 +206,11 @@ class TestOptimizerInternals:
     def test_block_update_never_lowers_objective(self, seed, mu, transposed):
         ctx, p = _block(seed, mu, transposed)
         rows = np.arange(len(p))
-        before = ctx.objective(p, rows)
+        before = ctx.restrict(rows).objective(p)
         with mock.patch.object(capacity, "_BA_STEPS", 1):
             p, _ = _ascend_block(p.copy(), ctx, np.zeros(len(p), dtype=bool))
         assert np.allclose(p.sum(axis=1), 1.0) and (p >= 0.0).all()
-        assert (ctx.objective(p, rows) >= before - 1e-12).all()
+        assert (ctx.restrict(rows).objective(p) >= before - 1e-12).all()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), transposed=st.booleans())
@@ -220,14 +220,14 @@ class TestOptimizerInternals:
         # linear block the Frank–Wolfe gap is exactly what that jump gains
         ctx, p = _block(seed, 1.0 if transposed else 0.0, transposed)
         assert ctx.coeffs[0] + ctx.coeffs[1] == 0.0
-        rows = np.arange(len(p))
-        before = ctx.objective(p, rows)
+        sub = ctx.restrict(np.arange(len(p)))
+        before = sub.objective(p)
         p, gap = _ascend_block(p.copy(), ctx, np.zeros(len(p), dtype=bool))
         assert ((p == 0.0) | (p == 1.0)).all() and (p.sum(axis=1) == 1.0).all()
-        f = ctx.objective(p, rows)
+        f = sub.objective(p)
         assert np.abs(f - before - gap).max() <= 1e-12
         for vertex in np.eye(p.shape[1]):
-            assert (f >= ctx.objective(np.tile(vertex, (len(p), 1)), rows)).all()
+            assert (f >= sub.objective(np.tile(vertex, (len(p), 1)))).all()
 
     def test_gradient_matches_finite_differences(self, rng):
         g = random_game(rng, max_size=3)
@@ -236,9 +236,8 @@ class TestOptimizerInternals:
         for coeffs in [(1, 0, 0, 1), (0.25, 0, 0.5, 0.75), (0.3, 0.4, 0, 0.7)]:
             pa = rng.dirichlet(np.ones(n.na), size=3)
             pb = rng.dirichlet(np.ones(n.nb), size=3)
-            ctx = _BlockContext(pb, ws.chan, ws.rowent, coeffs)
-            rows = np.arange(3)
-            grad = ctx.gradient(pa, rows)
+            ctx = _BlockContext(pb, ws.chan, ws.rowent, coeffs).restrict(np.arange(3))
+            grad = ctx.gradient(pa)
             eps = 1e-7
             for r in range(3):
                 for a in range(n.na):
@@ -246,9 +245,7 @@ class TestOptimizerInternals:
                     hi[r, a] += eps
                     lo = pa.copy()
                     lo[r, a] -= eps
-                    fd = (
-                        ctx.objective(hi, rows)[r] - ctx.objective(lo, rows)[r]
-                    ) / (2 * eps)
+                    fd = (ctx.objective(hi)[r] - ctx.objective(lo)[r]) / (2 * eps)
                     assert grad[r, a] == pytest.approx(fd, abs=1e-5)
 
     def test_transposed_objective_matches(self, rng):
@@ -261,9 +258,9 @@ class TestOptimizerInternals:
         pa = rng.dirichlet(np.ones(n.na), size=4)
         pb = rng.dirichlet(np.ones(n.nb), size=4)
         rows = np.arange(4)
-        direct = _BlockContext(pb, ws.chan, ws.rowent, coeffs).objective(pa, rows)
-        swapped = _BlockContext(pa, ws.chan_t, ws.rowent_t, coeffs_t).objective(pb, rows)
-        assert np.abs(direct - swapped).max() < 1e-12
+        direct = _BlockContext(pb, ws.chan, ws.rowent, coeffs).restrict(rows)
+        swapped = _BlockContext(pa, ws.chan_t, ws.rowent_t, coeffs_t).restrict(rows)
+        assert np.abs(direct.objective(pa) - swapped.objective(pb)).max() < 1e-12
 
 
 def _block_gaps(ws, pa, pb, coeffs):

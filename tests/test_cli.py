@@ -98,6 +98,15 @@ class TestQuantumVerify:
         )
         assert values.min() < 1 - 1e-9
 
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
+    def test_swapped_columns_win_half_the_time(self, run, i, j):
+        code, out, _ = run(
+            "quantum-verify", "magicsquare", "--swap-bob", str(i), str(j)
+        )
+        assert code == 1
+        cell = ["0.500000000" if c in (i, j) else "1.000000000" for c in range(3)]
+        assert out == (" ".join(cell) + "\n") * 3
+
     def test_loose_tolerance_flag(self, run):
         code, _, _ = run("quantum-verify", "magicsquare", "--tolerance", "1e-6")
         assert code == 0

@@ -18,7 +18,7 @@ from gamemac import (
     to_classical_channel,
     winning_probability,
 )
-from gamemac.quantum import _MS_COLUMN_UNITARIES, _MS_ROW_UNITARIES
+from gamemac.quantum import _MERMIN_PERES
 from conftest import random_quantum_strategy as random_strategy
 
 
@@ -112,16 +112,12 @@ class TestCorrelation:
             spread = bob_marg.max(axis=0) - bob_marg.min(axis=0)
             assert spread.max() < 1e-10
 
-    def test_projective_povms_match_amplitudes(self):
-        # rank-1 projective measurements reproduce |<k l| U (x) V |psi>|^2
+    def test_magic_square_elements_are_rank_one_projectors(self):
         qs = magic_square_strategy()
-        psi = qs.state.amplitudes
-        for r, u in enumerate(_MS_ROW_UNITARIES):
-            for c, v in enumerate(_MS_COLUMN_UNITARIES):
-                rotated = np.kron(u, v) @ psi
-                direct = (np.abs(rotated) ** 2).reshape(4, 4)
-                corr = correlation(qs)[r, c]
-                assert np.abs(corr - direct).max() < 1e-12
+        for povm in qs.alice_povms + qs.bob_povms:
+            for el in povm.elements:
+                assert np.abs(el @ el - el).max() < 1e-12
+                assert np.trace(el) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMagicSquareStrategy:
@@ -132,15 +128,29 @@ class TestMagicSquareStrategy:
             1.0, abs=1e-12
         )
 
-    def test_unitaries_are_unitary(self):
-        for u in _MS_ROW_UNITARIES + _MS_COLUMN_UNITARIES:
-            assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
+    def test_table_is_an_operator_solution(self):
+        eye = np.eye(4)
+        for o in _MERMIN_PERES.reshape(9, 4, 4):
+            assert np.abs(o - o.conj().T).max() < 1e-12
+            assert np.abs(o @ o - eye).max() < 1e-12
+        columns = _MERMIN_PERES.swapaxes(0, 1)
+        for lines, product in ((_MERMIN_PERES, eye), (columns, -eye)):
+            for a, b, c in lines:
+                for x, y in ((a, b), (a, c), (b, c)):
+                    assert np.abs(x @ y - y @ x).max() < 1e-12
+                assert np.abs(a @ b @ c - product).max() < 1e-12
 
     def test_wins_every_question_pair(self):
         g = magic_square_game()
         corr = correlation(magic_square_strategy())
         table = np.einsum("ijkl,ijkl->ij", g.win, corr)
         assert table.min() > 1 - 1e-9
+
+    def test_wins_every_cell_exactly(self):
+        # the elements and the state are dyadic, so no rounding enters
+        g = magic_square_game()
+        corr = correlation(magic_square_strategy())
+        assert (np.einsum("ijkl,ijkl->ij", g.win, corr) == 1.0).all()
 
     def test_uniform_winning_probability_is_one(self):
         g = magic_square_game()
