@@ -27,6 +27,15 @@ def computational_povm(d: int) -> Povm:
     return Povm([np.outer(eye[k], eye[k]) for k in range(d)])
 
 
+def measurement_unitary(povm: Povm) -> np.ndarray:
+    """Basis change ``U`` with row ``k`` the bra of rank-1 element ``k``."""
+    rows = []
+    for el in povm.elements:
+        _, vecs = np.linalg.eigh(el)
+        rows.append(vecs[:, -1].conj())
+    return np.array(rows)
+
+
 def constant_answer_povm(d: int, n_outcomes: int, answer: int) -> Povm:
     """Degenerate POVM that reports ``answer`` with certainty."""
     els = [np.zeros((d, d), dtype=complex) for _ in range(n_outcomes)]
@@ -119,6 +128,18 @@ class TestCorrelation:
                 assert np.abs(el @ el - el).max() < 1e-12
                 assert np.trace(el) == pytest.approx(1.0, abs=1e-12)
 
+    def test_projective_povms_match_amplitudes(self):
+        # rank-1 projective measurements reproduce |<k l| U (x) V |psi>|^2
+        qs = magic_square_strategy()
+        psi = qs.state.amplitudes
+        for r, alice in enumerate(qs.alice_povms):
+            for c, bob in enumerate(qs.bob_povms):
+                u, v = measurement_unitary(alice), measurement_unitary(bob)
+                rotated = np.kron(u, v) @ psi
+                direct = (np.abs(rotated) ** 2).reshape(4, 4)
+                corr = correlation(qs)[r, c]
+                assert np.abs(corr - direct).max() < 1e-12
+
 
 class TestMagicSquareStrategy:
     def test_state_shape_and_norm(self):
@@ -127,6 +148,12 @@ class TestMagicSquareStrategy:
         assert np.vdot(qs.state.amplitudes, qs.state.amplitudes).real == pytest.approx(
             1.0, abs=1e-12
         )
+
+    def test_unitaries_are_unitary(self):
+        qs = magic_square_strategy()
+        for povm in qs.alice_povms + qs.bob_povms:
+            u = measurement_unitary(povm)
+            assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
 
     def test_table_is_an_operator_solution(self):
         eye = np.eye(4)
