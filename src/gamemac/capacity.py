@@ -273,14 +273,29 @@ def _row_entropies(p: np.ndarray) -> np.ndarray:
     return -(p * _log2(p)).sum(axis=-1)
 
 
+def _log2_shifted(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``x <- log2(x) + 1 / ln 2`` in place, with ``log 0`` taken as 0.
+
+    ``x`` is nonnegative; ``mask`` is a boolean scratch array of its shape.
+    """
+    np.log2(x, out=x, where=np.greater(x, 0.0, out=mask))
+    return np.add(x, _INV_LN2, out=x)
+
+
 class _Workspace:
-    """Preprocessed channel tables shared by all optimizer runs."""
+    """Preprocessed channel tables shared by all optimizer runs.
+
+    Index 0 is the first sender's view and index 1 the second's: ``flat[s]``
+    has one row per input of sender ``s``, over (other input, output) pairs,
+    and ``rowent[s][own, other]`` is the entropy of that channel row.
+    """
 
     def __init__(self, n: Mac):
-        self.chan = n.p
-        self.chan_t = np.ascontiguousarray(n.p.transpose(1, 0, 2))
-        self.rowent = _row_entropies(n.p)
-        self.rowent_t = np.ascontiguousarray(self.rowent.T)
+        chan_t = np.ascontiguousarray(n.p.transpose(1, 0, 2))
+        rowent = _row_entropies(n.p)
+        self.nz = n.nz
+        self.flat = (n.p.reshape(n.na, -1), chan_t.reshape(n.nb, -1))
+        self.rowent = (rowent, np.ascontiguousarray(rowent.T))
 
 
 def _vertex_coeffs(mu):
@@ -301,25 +316,39 @@ def _vertex_coeffs(mu):
     )
 
 
+def _subtract_term(grad, rows, coeff, term, tmp):
+    """``grad[rows] -= coeff * term`` in place (every row if ``rows`` is None)."""
+    np.multiply(coeff, term, out=term)
+    if rows is None:
+        np.subtract(grad, term, out=grad)
+    else:
+        np.subtract(np.take(grad, rows, axis=0, out=tmp), term, out=tmp)
+        grad[rows] = tmp
+
+
 class _BlockContext:
     """Quantities that stay fixed while one sender's distribution is optimized.
 
     With the other sender's batch ``pb`` frozen, the per-input output
     distributions ``cond_a[r, a] = sum_b pb[r, b] N(.|a, b)``, their
     entropies, and the linear noise-floor term are all constant, leaving
-    only small per-candidate work inside the ascent loop.  Each coefficient
-    is a scalar or one value per row; a term is skipped only when its
-    coefficient is zero on every row.
+    only small per-candidate work inside the ascent loop.  ``transposed``
+    selects the second sender's block (``pb`` is then the first sender's
+    batch, and the coefficients of ``H(Z|B)`` and ``H(Z|A)`` trade places).
+    Each coefficient is a scalar or one value per row; :meth:`objective`
+    skips a term only when its coefficient is zero on every row, and
+    :meth:`gradient` runs each term only on the rows where it is nonzero.
     """
 
-    def __init__(self, pb, chan, rowent, coeffs):
-        na, nb, nz = chan.shape
-        self.nb, self.nz = nb, nz
-        self.chan_flat = chan.reshape(na, nb * nz)
+    def __init__(self, pb, ws: _Workspace, coeffs, transposed=False):
+        side = int(transposed)
+        if transposed:
+            coeffs = (coeffs[0], coeffs[2], coeffs[1], coeffs[3])
+        self.chan_flat = ws.flat[side]
+        na, self.nb, self.nz = len(self.chan_flat), pb.shape[1], ws.nz
         _, _, gamma, kappa = (np.asarray(c, dtype=float)[..., None] for c in coeffs)
-        cond = pb @ chan.transpose(1, 0, 2).reshape(nb, na * nz)
-        cond_a = cond.reshape(len(pb), na, nz)
-        lin = kappa * (pb @ rowent.T)  # noise-floor term, linear in pa
+        cond_a = (pb @ ws.flat[1 - side]).reshape(len(pb), na, self.nz)
+        lin = kappa * (pb @ ws.rowent[side].T)  # noise-floor term, linear in pa
         if gamma.any():
             lin = lin - gamma * _row_entropies(cond_a)
         self._set_rows(pb, cond_a, lin, coeffs)
@@ -329,6 +358,7 @@ class _BlockContext:
         alpha, beta = (np.asarray(c, dtype=float) for c in coeffs[:2])
         self.alpha = alpha if alpha.any() else None
         self.beta = beta if beta.any() else None
+        self._scratch = None  # gradient terms and buffers, made on first use
 
     def restrict(self, rows):
         """The same block for the rows ``rows`` of this batch only."""
@@ -348,27 +378,69 @@ class _BlockContext:
             out = out + self.beta * (self.pb * _row_entropies(q)).sum(axis=1)
         return out
 
+    def _make_scratch(self, n, na):
+        """The gradient's output array, and each entropy term on its rows.
+
+        A term is ``None`` when its coefficient is zero on every row, else
+        ``(rows, coeff, data, *buffers)``.  ``rows`` is ``None`` when the term
+        counts on every row (always for a scalar coefficient); otherwise the
+        coefficient and the term's per-row ``data`` are gathered to the rows
+        where the coefficient is nonzero.
+        """
+
+        def term(coeff, data, width):
+            if coeff is None:
+                return None
+            rows = None if coeff.all() else np.flatnonzero(coeff)
+            if rows is not None:
+                coeff, data = coeff[rows], data[rows]
+            k = len(data)  # gathered pa, the product (its log2 in place), mask, back
+            bufs = np.empty((k, na)), np.empty((k, width))
+            bufs += np.empty((k, width), dtype=bool), np.empty((k, na))
+            return (rows, coeff[..., None], data) + bufs
+
+        return (
+            np.empty((n, na)),
+            term(self.alpha, self.cond_a, self.nz),
+            term(self.beta, self.pb, self.nb * self.nz),
+        )
+
     def gradient(self, pa):
-        """Gradient of :meth:`objective` with respect to ``pa``."""
-        grad = -self.lin
-        if self.alpha is not None:
-            pz = np.matmul(pa[:, None, :], self.cond_a)[:, 0, :]
-            lg = _log2(pz) + _INV_LN2
-            back = np.matmul(self.cond_a, lg[:, :, None])[:, :, 0]
-            grad = grad - self.alpha[..., None] * back
-        if self.beta is not None:
-            q = (pa @ self.chan_flat).reshape(len(pa), self.nb, self.nz)
-            lg = _log2(q) + _INV_LN2
-            weighted = (self.pb[:, :, None] * lg).reshape(len(pa), -1)
-            grad = grad - self.beta[..., None] * (weighted @ self.chan_flat.T)
+        """Gradient of :meth:`objective` with respect to ``pa``.
+
+        Runs without allocating after the first call: the entropy terms are
+        computed only on their rows, in scratch arrays this context owns.
+        The returned array is one of them.  :meth:`objective`, :meth:`blind`
+        and :meth:`restrict` leave it alone, but the next ``gradient`` call
+        on this context overwrites it.
+        """
+        if self._scratch is None:
+            self._scratch = self._make_scratch(*pa.shape)
+        grad, alpha, beta = self._scratch
+        np.negative(self.lin, out=grad)
+        if alpha is not None:
+            rows, coeff, cond, p, pz, mask, back = alpha
+            p = pa if rows is None else np.take(pa, rows, axis=0, out=p)
+            np.matmul(p[:, None, :], cond, out=pz[:, None, :])
+            lg = _log2_shifted(pz, mask)
+            np.matmul(cond, lg[:, :, None], out=back[:, :, None])
+            _subtract_term(grad, rows, coeff, back, p)
+        if beta is not None:
+            rows, coeff, pb, p, q, mask, back = beta
+            p = pa if rows is None else np.take(pa, rows, axis=0, out=p)
+            lg = _log2_shifted(np.matmul(p, self.chan_flat, out=q), mask)
+            lg3 = lg.reshape(len(q), self.nb, self.nz)
+            np.multiply(pb[:, :, None], lg3, out=lg3)
+            np.matmul(lg, self.chan_flat.T, out=back)
+            _subtract_term(grad, rows, coeff, back, p)
         return grad
 
     def blind(self, pa):
         """Inputs whose slope :meth:`gradient` reads finite but is ``+inf``.
 
         Such an input reaches an output that has probability 0 in an entropy
-        term with a positive coefficient; ``_log2`` takes ``log 0`` as 0
-        there.  Only an input at (or underflowing to) zero mass can.
+        term with a positive coefficient; :meth:`gradient` takes ``log 0``
+        as 0 there.  Only an input at (or underflowing to) zero mass can.
         """
         out = np.zeros(pa.shape, dtype=bool)
         if self.alpha is not None:
@@ -425,11 +497,17 @@ def _ascend_block(pa, ctx: _BlockContext, hold):
     rows = np.nonzero(move & (weight != 0.0))[0]
     p, div, g = pa[rows], weight[rows][:, None], grad[rows]
     sub = ctx.restrict(rows) if len(rows) < len(pa) else ctx
+    e, s = np.empty_like(p), np.empty_like(div)
     for step in range(_BA_STEPS):
         if step or starved[rows].any():
             g = sub.gradient(p)
-        p = p * np.exp2((g - g.max(axis=1, keepdims=True)) / div)
-        p /= p.sum(axis=1, keepdims=True)
+        np.subtract(g, g.max(axis=1, keepdims=True, out=s), out=e)
+        # a subnormal weight overflows this to -inf: mass 0 off the best
+        # inputs, the weight -> 0 limit, which is the linear block's vertex jump
+        with np.errstate(over="ignore"):
+            np.divide(e, div, out=e)
+        np.multiply(p, np.exp2(e, out=e), out=p)
+        np.divide(p, p.sum(axis=1, keepdims=True, out=s), out=p)
     pa[rows] = p
     return pa, gap
 
@@ -465,8 +543,8 @@ def _squarem(x0, x1, pa, pb, ws: _Workspace, coeffs):
     xa, xb = x[jump, :na], x[jump, na:]
     xa, xb = xa / xa.sum(axis=1, keepdims=True), xb / xb.sum(axis=1, keepdims=True)
     c = [k[jump] for k in coeffs]
-    before = _BlockContext(pb[jump], ws.chan, ws.rowent, c).objective(pa[jump])
-    keep = _BlockContext(xb, ws.chan, ws.rowent, c).objective(xa) > before
+    before = _BlockContext(pb[jump], ws, c).objective(pa[jump])
+    keep = _BlockContext(xb, ws, c).objective(xa) > before
     jump = jump[keep]
     pa[jump], pb[jump] = xa[keep], xb[keep]
     return pa, pb, jump
@@ -499,9 +577,8 @@ def _alternate(pa, pb, ws: _Workspace, coeffs):
             x0 = np.hstack([pa, pb])
         c = [x[idx] for x in coeffs]
         hold = gap_b[idx] <= _GAP_TOL
-        ctx_a = _BlockContext(pb[idx], ws.chan, ws.rowent, c)
-        pa[idx], gap_a = _ascend_block(pa[idx], ctx_a, hold)
-        ctx_b = _BlockContext(pa[idx], ws.chan_t, ws.rowent_t, (c[0], c[2], c[1], c[3]))
+        pa[idx], gap_a = _ascend_block(pa[idx], _BlockContext(pb[idx], ws, c), hold)
+        ctx_b = _BlockContext(pa[idx], ws, c, transposed=True)
         pb[idx], gap_b[idx] = _ascend_block(pb[idx], ctx_b, gap_a <= _GAP_TOL)
         both = np.maximum(gap_a, gap_b[idx])
         gap[idx] = np.where(hold & (both <= _GAP_TOL), both, np.inf)
