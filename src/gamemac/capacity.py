@@ -41,6 +41,7 @@ _BA_STEPS = 20
 _GAP_TOL = 1e-5
 _MAX_SWEEPS = 2000
 _REVIVE = 1e-8
+_WEIGHT_FLOOR = 1e-300  # least block weight a BA step divides by
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +274,12 @@ def _row_entropies(p: np.ndarray) -> np.ndarray:
     return -(p * _log2(p)).sum(axis=-1)
 
 
-def _log2_shifted(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``x <- log2(x) + 1 / ln 2`` in place, with ``log 0`` taken as 0.
+def _log2_in_place(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``x <- log2(x)`` in place, with ``log 0`` taken as 0.
 
     ``x`` is nonnegative; ``mask`` is a boolean scratch array of its shape.
     """
-    np.log2(x, out=x, where=np.greater(x, 0.0, out=mask))
-    return np.add(x, _INV_LN2, out=x)
+    return np.log2(x, out=x, where=np.greater(x, 0.0, out=mask))
 
 
 class _Workspace:
@@ -316,14 +316,18 @@ def _vertex_coeffs(mu):
     )
 
 
-def _subtract_term(grad, rows, coeff, term, tmp):
-    """``grad[rows] -= coeff * term`` in place (every row if ``rows`` is None)."""
-    np.multiply(coeff, term, out=term)
-    if rows is None:
-        np.subtract(grad, term, out=grad)
-    else:
-        np.subtract(np.take(grad, rows, axis=0, out=tmp), term, out=tmp)
-        grad[rows] = tmp
+def _span(coeff):
+    """The batch rows from the first to the last nonzero ``coeff``, as a slice.
+
+    ``coeff`` has one row per batch row, or a single row for every batch
+    row (the slice is then all of them); ``None`` if it is zero everywhere.
+    """
+    if not coeff.any():
+        return None
+    if len(coeff) == 1:
+        return slice(None)
+    on = np.flatnonzero(coeff)
+    return slice(on[0], on[-1] + 1)
 
 
 class _BlockContext:
@@ -335,9 +339,10 @@ class _BlockContext:
     only small per-candidate work inside the ascent loop.  ``transposed``
     selects the second sender's block (``pb`` is then the first sender's
     batch, and the coefficients of ``H(Z|B)`` and ``H(Z|A)`` trade places).
-    Each coefficient is a scalar or one value per row; :meth:`objective`
-    skips a term only when its coefficient is zero on every row, and
-    :meth:`gradient` runs each term only on the rows where it is nonzero.
+    Each coefficient is a scalar or one value per row; the entropies of
+    ``cond_a`` are taken only on the rows that weigh them, and
+    :meth:`objective` skips a term only when its coefficient is zero on
+    every row.
     """
 
     def __init__(self, pb, ws: _Workspace, coeffs, transposed=False):
@@ -349,8 +354,9 @@ class _BlockContext:
         _, _, gamma, kappa = (np.asarray(c, dtype=float)[..., None] for c in coeffs)
         cond_a = (pb @ ws.flat[1 - side]).reshape(len(pb), na, self.nz)
         lin = kappa * (pb @ ws.rowent[side].T)  # noise-floor term, linear in pa
-        if gamma.any():
-            lin = lin - gamma * _row_entropies(cond_a)
+        rows = _span(gamma)
+        if rows is not None:
+            lin[rows] -= gamma[rows] * _row_entropies(cond_a[rows])
         self._set_rows(pb, cond_a, lin, coeffs)
 
     def _set_rows(self, pb, cond_a, lin, coeffs):
@@ -379,60 +385,66 @@ class _BlockContext:
         return out
 
     def _make_scratch(self, n, na):
-        """The gradient's output array, and each entropy term on its rows.
+        """The gradient's output array, its constant part, and each entropy term.
 
-        A term is ``None`` when its coefficient is zero on every row, else
-        ``(rows, coeff, data, *buffers)``.  ``rows`` is ``None`` when the term
-        counts on every row (always for a scalar coefficient); otherwise the
-        coefficient and the term's per-row ``data`` are gathered to the rows
-        where the coefficient is nonzero.
+        The constant part is ``-lin`` less ``(alpha + beta) / ln 2``: the
+        ``+1 / ln 2`` of each entropy's slope, summed over the outputs of a
+        distribution, is one constant per row.  A term is ``None`` when its
+        coefficient is zero on every row, else ``(rows, coeff, data, *buffers)``
+        on the slice ``rows`` of the batch that spans its nonzero coefficients
+        (rows inside it with a zero coefficient weigh it by 0).  The solver's
+        batches are ordered by weight, and each coefficient is nonzero on one
+        range of weights, so there the slice holds exactly those rows.
         """
 
         def term(coeff, data, width):
             if coeff is None:
                 return None
-            rows = None if coeff.all() else np.flatnonzero(coeff)
-            if rows is not None:
-                coeff, data = coeff[rows], data[rows]
-            k = len(data)  # gathered pa, the product (its log2 in place), mask, back
-            bufs = np.empty((k, na)), np.empty((k, width))
-            bufs += np.empty((k, width), dtype=bool), np.empty((k, na))
-            return (rows, coeff[..., None], data) + bufs
+            coeff = coeff[..., None]
+            rows = _span(coeff)
+            coeff, data = coeff[rows], data[rows]
+            k = len(data)  # the product (its log2 in place), mask, back
+            bufs = np.empty((k, width)), np.empty((k, width), dtype=bool)
+            return (rows, coeff, data) + bufs + (np.empty((k, na)),)
 
+        weight = np.asarray(self.coeffs[0] + self.coeffs[1], dtype=float)[..., None]
+        # pb[b] over the (b, z) columns of the channel, for the beta term
+        pb = None if self.beta is None else np.repeat(self.pb, self.nz, axis=1)
         return (
             np.empty((n, na)),
+            np.subtract(-_INV_LN2 * weight, self.lin),
             term(self.alpha, self.cond_a, self.nz),
-            term(self.beta, self.pb, self.nb * self.nz),
+            term(self.beta, pb, self.nb * self.nz),
         )
 
     def gradient(self, pa):
         """Gradient of :meth:`objective` with respect to ``pa``.
 
-        Runs without allocating after the first call: the entropy terms are
-        computed only on their rows, in scratch arrays this context owns.
-        The returned array is one of them.  :meth:`objective`, :meth:`blind`
-        and :meth:`restrict` leave it alone, but the next ``gradient`` call
-        on this context overwrites it.
+        Runs without allocating after the first call: each entropy term is
+        computed on the rows that weigh it, in scratch arrays this context
+        owns, onto a per-context constant that holds the linear term and every
+        entropy's ``1 / ln 2``.  The returned array is one of them.
+        :meth:`objective`, :meth:`blind` and :meth:`restrict` leave it alone,
+        but the next ``gradient`` call on this context overwrites it.
         """
         if self._scratch is None:
             self._scratch = self._make_scratch(*pa.shape)
-        grad, alpha, beta = self._scratch
-        np.negative(self.lin, out=grad)
+        grad, const, alpha, beta = self._scratch
+        np.copyto(grad, const)
         if alpha is not None:
-            rows, coeff, cond, p, pz, mask, back = alpha
-            p = pa if rows is None else np.take(pa, rows, axis=0, out=p)
-            np.matmul(p[:, None, :], cond, out=pz[:, None, :])
-            lg = _log2_shifted(pz, mask)
+            rows, coeff, cond, pz, mask, back = alpha
+            np.matmul(pa[rows, None, :], cond, out=pz[:, None, :])
+            lg = _log2_in_place(pz, mask)
             np.matmul(cond, lg[:, :, None], out=back[:, :, None])
-            _subtract_term(grad, rows, coeff, back, p)
+            g = grad[rows]
+            np.subtract(g, np.multiply(coeff, back, out=back), out=g)
         if beta is not None:
-            rows, coeff, pb, p, q, mask, back = beta
-            p = pa if rows is None else np.take(pa, rows, axis=0, out=p)
-            lg = _log2_shifted(np.matmul(p, self.chan_flat, out=q), mask)
-            lg3 = lg.reshape(len(q), self.nb, self.nz)
-            np.multiply(pb[:, :, None], lg3, out=lg3)
+            rows, coeff, pb, q, mask, back = beta
+            lg = _log2_in_place(np.matmul(pa[rows], self.chan_flat, out=q), mask)
+            np.multiply(pb, lg, out=lg)
             np.matmul(lg, self.chan_flat.T, out=back)
-            _subtract_term(grad, rows, coeff, back, p)
+            g = grad[rows]
+            np.subtract(g, np.multiply(coeff, back, out=back), out=g)
         return grad
 
     def blind(self, pa):
@@ -476,6 +488,12 @@ def _ascend_block(pa, ctx: _BlockContext, hold):
     counts as its best; a row is certified only while held, so this check
     stays off the rows that take BA steps anyway.
 
+    The block weight is floored at ``_WEIGHT_FLOOR`` once per block, so the
+    exponent stays finite: ``grad - max grad`` is at most about 2 * 1074 bits
+    per unit weight plus the bounded linear term.  A row whose weight is
+    below the floor still underflows to mass 0 off its best inputs, the
+    weight -> 0 limit, which is the linear block's vertex jump.
+
     Deterministic for a fixed batch (BLAS may round a row differently in
     another batch shape).  Returns the updated rows and the gaps of the
     incoming rows.
@@ -495,56 +513,62 @@ def _ascend_block(pa, ctx: _BlockContext, hold):
     fw_step = (move * np.where(weight == 0.0, 1.0, _REVIVE * starved))[:, None]
     pa = (1.0 - fw_step) * pa + fw_step * np.eye(pa.shape[1])[best]
     rows = np.nonzero(move & (weight != 0.0))[0]
-    p, div, g = pa[rows], weight[rows][:, None], grad[rows]
+    p, g = pa[rows], grad[rows]
+    div = np.maximum(weight[rows], _WEIGHT_FLOOR)[:, None]
     sub = ctx.restrict(rows) if len(rows) < len(pa) else ctx
     e, s = np.empty_like(p), np.empty_like(div)
     for step in range(_BA_STEPS):
         if step or starved[rows].any():
             g = sub.gradient(p)
         np.subtract(g, g.max(axis=1, keepdims=True, out=s), out=e)
-        # a subnormal weight overflows this to -inf: mass 0 off the best
-        # inputs, the weight -> 0 limit, which is the linear block's vertex jump
-        with np.errstate(over="ignore"):
-            np.divide(e, div, out=e)
+        np.divide(e, div, out=e)
         np.multiply(p, np.exp2(e, out=e), out=p)
         np.divide(p, p.sum(axis=1, keepdims=True, out=s), out=p)
     pa[rows] = p
     return pa, gap
 
 
-def _squarem(x0, x1, pa, pb, ws: _Workspace, coeffs):
-    """Safeguarded SQUAREM jump for rows that took a sweep pair ``x0 -> x1 -> x2``.
+def _extrapolate(x0, x1, x2):
+    """SQUAREM step length and jump of each row of a sweep pair ``x0 -> x1 -> x2``.
 
-    A state is ``x = [pa | pb]`` and ``x2`` is the incoming ``(pa, pb)``.  With
-    ``r = x1 - x0`` and ``v = x2 - x1 - r`` the jump is
+    With ``r = x1 - x0`` and ``v = x2 - x1 - r`` the jump is
     ``x0 - 2 alpha r + alpha^2 v``, ``alpha = min(-|r| / |v|, -1)``; it is
-    ``x2`` at ``alpha = -1``.  While a jump has a negative entry ``alpha``
-    moves halfway toward -1, at most 10 times, and then to -1.  A row keeps
-    its jump, with each block renormalized, only if ``alpha < -1`` and the
-    weighted objective there is strictly above its value at ``x2``.  Returns
-    the rows' ``pa``, ``pb`` and the indices of the rows that jumped.
+    ``x2`` at ``alpha = -1``.  If a jump has a negative entry ``alpha`` moves
+    halfway toward -1, at most 10 times, and then to -1.  All eleven
+    candidates are formed at once, and a row takes its first one without a
+    negative entry.  Returns each row's ``alpha`` and jump; the jump is
+    meaningful only where ``alpha < -1``.
     """
-    x2 = np.hstack([pa, pb])
     r = x1 - x0
     v = x2 - x1 - r
     norm_v = np.linalg.norm(v, axis=1)
-    alpha = -np.linalg.norm(r, axis=1) / np.where(norm_v > 0.0, norm_v, np.inf)
-    alpha = np.minimum(alpha, -1.0)[:, None]
-    x = x0 - 2.0 * alpha * r + alpha**2 * v
-    for _ in range(10):
-        neg = (x < 0.0).any(axis=1)
-        if not neg.any():
-            break
-        alpha[neg] = 0.5 * (alpha[neg] - 1.0)
-        x[neg] = x0[neg] - 2.0 * alpha[neg] * r[neg] + alpha[neg] ** 2 * v[neg]
-    alpha[(x < 0.0).any(axis=1)] = -1.0
+    alphas = np.empty((len(x0), 11))
+    alphas[:, 0] = -np.linalg.norm(r, axis=1) / np.where(norm_v > 0.0, norm_v, np.inf)
+    np.minimum(alphas[:, 0], -1.0, out=alphas[:, 0])
+    for k in range(10):
+        alphas[:, k + 1] = 0.5 * (alphas[:, k] - 1.0)
+    a = alphas[:, :, None]
+    x = x0[:, None, :] - 2.0 * a * r[:, None, :] + a**2 * v[:, None, :]
+    ok = ~(x < 0.0).any(axis=2)
+    rows, first = np.arange(len(x0)), ok.argmax(axis=1)
+    return np.where(ok[rows, first], alphas[rows, first], -1.0), x[rows, first]
+
+
+def _squarem(x0, x1, pa, pb, ws: _Workspace, coeffs, before):
+    """Safeguarded SQUAREM jump for rows that took a sweep pair ``x0 -> x1 -> x2``.
+
+    A state is ``x = [pa | pb]``; ``x2`` is the incoming ``(pa, pb)`` and
+    ``before`` the rows' weighted objective there.  A row keeps its
+    :func:`_extrapolate` jump, with each block renormalized, only if
+    ``alpha < -1`` and the objective there is strictly above ``before``.
+    Returns the rows' ``pa``, ``pb`` and the indices of the rows that jumped.
+    """
+    alpha, x = _extrapolate(x0, x1, np.hstack([pa, pb]))
+    jump = np.nonzero(alpha < -1.0)[0]
     na = pa.shape[1]
-    jump = np.nonzero(alpha[:, 0] < -1.0)[0]
     xa, xb = x[jump, :na], x[jump, na:]
     xa, xb = xa / xa.sum(axis=1, keepdims=True), xb / xb.sum(axis=1, keepdims=True)
-    c = [k[jump] for k in coeffs]
-    before = _BlockContext(pb[jump], ws, c).objective(pa[jump])
-    keep = _BlockContext(xb, ws, c).objective(xa) > before
+    keep = _BlockContext(xb, ws, [k[jump] for k in coeffs]).objective(xa) > before[jump]
     jump = jump[keep]
     pa[jump], pb[jump] = xa[keep], xb[keep]
     return pa, pb, jump
@@ -585,9 +609,12 @@ def _alternate(pa, pb, ws: _Workspace, coeffs):
         if sweep % 2 == 0:
             x1 = np.hstack([pa, pb])
         else:
-            rows = np.nonzero(np.isinf(gap))[0]
+            open_ = np.isinf(gap[idx])
+            rows = idx[open_]
+            before = ctx_b.objective(pb[idx])[open_]
             pa[rows], pb[rows], jumped = _squarem(
-                x0[rows], x1[rows], pa[rows], pb[rows], ws, [x[rows] for x in coeffs]
+                x0[rows], x1[rows], pa[rows], pb[rows], ws, [x[rows] for x in coeffs],
+                before,
             )
             gap_b[rows[jumped]] = np.inf
     return pa, pb, gap
@@ -608,12 +635,36 @@ def _dirichlet_inits(seed: int, tag: int, restarts: int, na: int, nb: int):
     return pa, pb
 
 
+def _rates(ws: _Workspace, pa, pb):
+    """Each row's ``I(A;Z|B)``, ``I(B;Z|A)`` and ``I(A,B;Z)`` at ``(pa, pb)``.
+
+    One ``(rows, 3)`` array, from the channel layouts of ``ws``:
+    ``H(BZ) - H(B) - H(Z|AB)``, ``H(AZ) - H(A) - H(Z|AB)`` and
+    ``H(Z) - H(Z|AB)`` with ``H(Z|AB) = sum_ab pa[a] pb[b] H(N(.|a, b))``,
+    each clamped at 0.  These are the rates :func:`pentagon` gives at
+    ``ProductInput(pa[r], pb[r])``, up to rounding.
+    """
+    n = len(pa)
+    h_cond = ((pa @ ws.rowent[0]) * pb).sum(axis=1)
+    joint_bz = np.repeat(pb, ws.nz, axis=1) * (pa @ ws.flat[0])
+    joint_az = np.repeat(pa, ws.nz, axis=1) * (pb @ ws.flat[1])
+    h_z = _row_entropies(joint_bz.reshape(n, -1, ws.nz).sum(axis=1))
+    rates = np.stack([
+        _row_entropies(joint_bz) - _row_entropies(pb) - h_cond,
+        _row_entropies(joint_az) - _row_entropies(pa) - h_cond,
+        h_z - h_cond,
+    ], axis=1)
+    return np.maximum(rates, 0.0)
+
+
 def _solve(n: Mac, mus: Sequence[float], seed: int, restarts: int):
     """Optimize every (weight, restart) row in one batch.
 
     Row ``tag * restarts + r`` starts from the ``(seed, tag, r)`` Dirichlet
-    draw and maximizes the weight ``mus[tag]``.  Returns, for each row in
-    that order, its input, its pentagon and its optimizer's final gap.
+    draw and maximizes the weight ``mus[tag]``.  Returns, row by row in that
+    order, the senders' inputs ``pa`` and ``pb``, the pentagon rates from
+    :func:`_rates` (one array pass for the whole batch, not one joint
+    distribution per row) and the optimizer's final gaps.
     """
     inits = [
         _dirichlet_inits(seed, tag, restarts, n.na, n.nb) for tag in range(len(mus))
@@ -621,12 +672,9 @@ def _solve(n: Mac, mus: Sequence[float], seed: int, restarts: int):
     pa = np.concatenate([a for a, _ in inits])
     pb = np.concatenate([b for _, b in inits])
     coeffs = _vertex_coeffs(np.repeat(np.asarray(mus, dtype=float), restarts))
-    pa, pb, gap = _alternate(pa, pb, _Workspace(n), coeffs)
-    out = []
-    for row in range(len(pa)):
-        q = ProductInput(pa[row], pb[row])
-        out.append((q, pentagon(n, q), float(gap[row])))
-    return out
+    ws = _Workspace(n)
+    pa, pb, gap = _alternate(pa, pb, ws, coeffs)
+    return pa, pb, _rates(ws, pa, pb), gap
 
 
 def _corner_points(pent: Pentagon) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -726,11 +774,12 @@ def inner_bound(
         raise ValueError("restarts must be >= 1")
     if mu_points < 1:
         raise ValueError("mu_points must be >= 1")
-    results = _solve(n, np.linspace(0.0, 1.0, mu_points), seed, restarts)
+    pa, pb, rates, gaps = _solve(n, np.linspace(0.0, 1.0, mu_points), seed, restarts)
     witnesses = []
-    for row, (q, pent, gap) in enumerate(results):
+    for row, (rate, gap) in enumerate(zip(rates.tolist(), gaps.tolist())):
         tag, r = divmod(row, restarts)
-        d1, d2 = _corner_points(pent)
+        q = ProductInput(pa[row], pb[row])
+        d1, d2 = _corner_points(Pentagon(*rate))
         witnesses.append(InnerPoint(d1[0], d1[1], q, "r1-priority", tag, r, gap))
         witnesses.append(InnerPoint(d2[0], d2[1], q, "r2-priority", tag, r, gap))
     chain = _boundary_chain([(w.r1, w.r2) for w in witnesses])
@@ -743,16 +792,17 @@ def sum_capacity_lower_bound(
     """Best total-rate point found by maximizing I(A,B;Z) over product inputs.
 
     Runs the weight ``mu = 0.5`` of :func:`inner_bound`, whose objective is
-    half the sum rate, and keeps the best restart (the first one on ties).
-    Returns the value in bits and the achieving input; any returned value is
-    achievable, so it lower-bounds the sum capacity.
+    half the sum rate, and keeps the restart with the best batched sum rate
+    (the first one on ties).  Returns ``pentagon(n, q).sum_max`` at that
+    restart's input ``q``, and ``q``; any returned value is achievable, so it
+    lower-bounds the sum capacity.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    results = _solve(n, [0.5], seed, restarts)
-    best = max(range(restarts), key=lambda r: (results[r][1].sum_max, -r))
-    q, pent, _ = results[best]
-    return pent.sum_max, q
+    pa, pb, rates, _ = _solve(n, [0.5], seed, restarts)
+    best = int(np.argmax(rates[:, 2]))
+    q = ProductInput(pa[best], pb[best])
+    return pentagon(n, q).sum_max, q
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,22 @@ class _CliError(Exception):
         self.message = message
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int, kind: str) -> int:
     try:
         val = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if val < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {val}")
+    if val < low:
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {val}")
     return val
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0, "nonnegative")
 
 
 def _tolerance(text: str) -> float:
@@ -256,7 +264,7 @@ def _parser(threads: int) -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="inner bound on the capacity region")
     p.add_argument("input", help="builtin name, game file, or mac file")
     p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", help="write hull boundary rows to this file")
     p.set_defaults(func=_cmd_region)
 

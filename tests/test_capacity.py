@@ -35,9 +35,12 @@ from gamemac.capacity import (
     _alternate,
     _ascend_block,
     _BlockContext,
+    _extrapolate,
+    _rates,
     _vertex_coeffs,
     _Workspace,
 )
+from gamemac.channel import ProductInput
 from conftest import random_game
 
 LOG9 = math.log2(9)
@@ -414,9 +417,10 @@ class TestExtrapolation:
         pb = rng.dirichlet(np.ones(nb), size=len(mus))
         squarem = capacity._squarem
 
-        def checked(x0, x1, pa, pb, ws, coeffs):
-            before = _BlockContext(pb, ws, coeffs).objective(pa)
-            xa, xb, jumped = squarem(x0, x1, pa.copy(), pb.copy(), ws, coeffs)
+        def checked(x0, x1, pa, pb, ws, coeffs, before):
+            at_x2 = _BlockContext(pb, ws, coeffs).objective(pa)
+            assert np.abs(before - at_x2).max(initial=0.0) <= 1e-12
+            xa, xb, jumped = squarem(x0, x1, pa.copy(), pb.copy(), ws, coeffs, before)
             stayed = np.setdiff1d(np.arange(len(pa)), jumped)
             assert (xa[stayed] == pa[stayed]).all() and (xb[stayed] == pb[stayed]).all()
             for p in (xa, xb):
@@ -433,6 +437,50 @@ class TestExtrapolation:
             mock.patch.object(capacity, "_MAX_SWEEPS", 100),
         ):
             _alternate(pa, pb, ws, coeffs)
+
+
+    @staticmethod
+    def loop_extrapolate(x0, x1, x2):
+        # the step-length search as a loop: halve alpha toward -1 on the rows
+        # with a negative entry, at most 10 times, then give up at -1
+        r = x1 - x0
+        v = x2 - x1 - r
+        norm_v = np.linalg.norm(v, axis=1)
+        alpha = -np.linalg.norm(r, axis=1) / np.where(norm_v > 0.0, norm_v, np.inf)
+        alpha = np.minimum(alpha, -1.0)[:, None]
+        x = x0 - 2.0 * alpha * r + alpha**2 * v
+        halvings = np.zeros(len(x0), dtype=int)
+        for _ in range(10):
+            neg = (x < 0.0).any(axis=1)
+            if not neg.any():
+                break
+            halvings += neg
+            alpha[neg] = 0.5 * (alpha[neg] - 1.0)
+            x[neg] = x0[neg] - 2.0 * alpha[neg] * r[neg] + alpha[neg] ** 2 * v[neg]
+        alpha[(x < 0.0).any(axis=1)] = -1.0
+        return alpha[:, 0], x, halvings
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_shot_step_matches_the_halving_loop(self, seed):
+        # in the first 100 rows, an entry at 0 in x2 and above 0 in x1 is
+        # negative at every alpha < -1 near -1: such a row never becomes feasible
+        rng = np.random.default_rng(seed)
+        x0, x1, x2 = (rng.dirichlet(np.ones(6), size=400) for _ in range(3))
+        x2[rng.random(x2.shape) < 0.15] = 0.0
+        x1[:100] = x2[:100] + rng.normal(0.0, 0.05, (100, 6))
+        # nearly straight runs, |v| < |r|: alpha starts at about -2.5 or -5000
+        for rows, noise in ((slice(100, 200), 1e-5), (slice(200, 300), 0.02)):
+            step = rng.normal(0.0, 0.05, (100, 6))
+            x1[rows] = x2[rows] - step
+            x0[rows] = x1[rows] - step + rng.normal(0.0, noise, (100, 6))
+        alpha, x = _extrapolate(x0, x1, x2)
+        ref_alpha, ref_x, halvings = self.loop_extrapolate(x0, x1, x2)
+        assert (alpha == ref_alpha).all()
+        jump = alpha < -1.0
+        assert (x[jump] == ref_x[jump]).all() and (x[jump] >= 0.0).all()
+        # the draws reach every branch: no halving, some, and giving up
+        assert (jump & (halvings == 0)).any() and (jump & (halvings > 0)).any()
+        assert ((halvings == 10) & ~jump).any()
 
 
 class TestBatchedSolve:
@@ -491,6 +539,29 @@ class TestBatchedSolve:
         n = mac_from_game(chsh_game())
         with pytest.raises(ValueError, match="mu_points"):
             inner_bound(n, restarts=2, mu_points=0)
+
+
+class TestBatchedRates:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6))
+    def test_rates_match_pentagon_row_by_row(self, seed, rows):
+        # inputs at zero mass in every row, and a last row of point masses,
+        # which on a winning pair reaches one output and leaves the rest at 0
+        rng = np.random.default_rng(seed)
+        n = mac_from_game(random_game(rng, max_size=3))
+        pa = rng.dirichlet(np.ones(n.na), size=rows)
+        pb = rng.dirichlet(np.ones(n.nb), size=rows)
+        for p in (pa, pb):
+            p[rng.random(p.shape) < 0.4] = 0.0
+            p[np.arange(rows), rng.integers(0, p.shape[1], rows)] += 0.5
+            p[-1] = np.eye(p.shape[1])[rng.integers(0, p.shape[1])]
+            p /= p.sum(axis=1, keepdims=True)
+        rates = _rates(_Workspace(n), pa, pb)
+        assert rates.shape == (rows, 3) and (rates >= 0.0).all()
+        for r in range(rows):
+            pent = pentagon(n, ProductInput(pa[r], pb[r]))
+            expect = [pent.r1_max, pent.r2_max, pent.sum_max]
+            assert np.abs(rates[r] - expect).max() <= 1e-12
 
 
 class TestInnerBound:
@@ -588,7 +659,7 @@ class TestSumCapacityLowerBound:
     def test_returned_input_achieves_value(self):
         n = mac_from_game(chsh_game())
         val, q = sum_capacity_lower_bound(n, restarts=8, seed=0)
-        assert pentagon(n, q).sum_max == pytest.approx(val, abs=1e-12)
+        assert pentagon(n, q).sum_max == val
 
 
 class TestLsgRates:

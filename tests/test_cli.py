@@ -221,6 +221,18 @@ class TestRegion:
         assert code == 2
         assert "restarts must be >= 1" in err
 
+    def test_negative_restarts_exits_2(self, run):
+        code, out, err = run("region", "chsh", "--restarts", "-3")
+        assert code == 2 and out == ""
+        assert "restarts must be >= 1" in err
+
+    def test_negative_seed_exits_2_naming_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["region", "chsh", "--restarts", "1", "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "nonnegative integer" in err
+
 
 class TestMacExport:
     def test_magicsquare_dimensions_and_round_trip(self, run, tmp_path):
