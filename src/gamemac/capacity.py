@@ -6,8 +6,10 @@ Three families of results live here:
   the game's classical value: for a tunable slack ``delta`` there is a
   largest ``eps`` with
   ``(delta + h(eps)) / (1 - eps) = d(eps || 1 - omega)`` such that the sum
-  rate is at most ``max{(1 - eps) log d, log d - delta}``, and the bound is
-  minimized over ``delta``;
+  rate is at most ``max{(1 - eps) log d, log d - delta}``; the first branch
+  rises with ``delta`` and the second falls, so the bound is least where they
+  meet, at ``delta = eps log d``, one increasing equation in ``eps`` that a
+  bisection solves to ``1e-12`` relative;
 * a randomized inner bound on the capacity region, tracing the boundary by
   maximizing weighted pentagon vertices over product input distributions
   with alternating Blahut–Arimoto block updates stopped on a Frank–Wolfe gap,
@@ -93,12 +95,28 @@ class EpsStarResult(NamedTuple):
     crossing: bool
 
 
+def _crossing(gap, y: float) -> float:
+    """Root of an increasing ``gap`` with ``gap(0) < 0 < gap(y)``.
+
+    Bisection on ``[0, y]`` until the interval is below ``1e-12`` relative to
+    its upper end, so roots far below ``y`` keep their precision.
+    """
+    lo, hi = 0.0, y
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def solve_eps_star(delta: float, omega_u: float) -> EpsStarResult:
     """Solve ``(delta + h(e)) / (1 - e) = d(e || 1 - omega)`` for ``e``.
 
     The left side increases in ``e`` and the right side decreases on
     ``(0, 1 - omega)``, so for ``0 <= delta < -log2(omega)`` there is a
-    unique crossing, found by bisection to an interval below ``1e-12``.
+    unique crossing, found by bisection to ``1e-12`` relative.
     """
     w = float(omega_u)
     if not 0.0 < w < 1.0:
@@ -110,18 +128,9 @@ def solve_eps_star(delta: float, omega_u: float) -> EpsStarResult:
     def gap(e: float) -> float:
         return (delta + binary_entropy(e)) / (1.0 - e) - binary_rel_entropy(e, y)
 
-    lo, hi = 1e-15, y - 1e-15
-    if gap(lo) >= 0.0:
+    if gap(0.0) >= 0.0:
         return EpsStarResult(0.0, False)
-    if gap(hi) <= 0.0:  # unreachable for valid inputs; guards float edge cases
-        return EpsStarResult(hi, True)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return EpsStarResult(0.5 * (lo + hi), True)
+    return EpsStarResult(_crossing(gap, y), True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,24 +160,22 @@ def _log_dim(g: Game) -> float:
     return math.log2(g.nx1) + math.log2(g.nx2)
 
 
-def _bound_at(delta: float, omega: float, log_d: float) -> tuple[float, float]:
-    eps = solve_eps_star(delta, omega)
-    return max((1.0 - eps.value) * log_d, log_d - delta), eps.value
-
-
 def sum_rate_upper_bound(g: Game, omega_u) -> UpperBoundResult:
     """Best analytic sum-rate upper bound for the channel compiled from ``g``.
 
     Minimizes ``u(delta) = max{(1 - eps*(delta)) log d, log d - delta}`` over
     ``delta in (0, -log2(omega))``, where ``d = nx1 * nx2`` and ``omega_u``
     is the game's classical value under uniform questions (or any valid
-    upper bound on it; the caller supplies it).  The curve is unimodal (one
-    branch rises, the other falls), so golden-section search over the whole
-    interval finds the minimum.
+    upper bound on it; the caller supplies it).  The first branch rises with
+    ``delta`` (``eps*`` falls) and the second falls, so the minimum sits where
+    they meet, at ``delta = eps log d``.  The slack equation then reads
+    ``(eps log d + h(eps)) / (1 - eps) = d(eps || 1 - omega)``, increasing in
+    ``eps``, and is solved by bisection to ``1e-12`` relative.
 
     Raises:
         ValueError: If ``omega_u`` is 1 (no nontrivial bound exists) or
-            otherwise outside ``(0, 1)``.
+            otherwise outside ``(0, 1)``, or if ``g`` has one question pair
+            (``d = 1``: every slack gives the bound 0).
     """
     w = float(omega_u)
     if w == 1.0:
@@ -176,23 +183,16 @@ def sum_rate_upper_bound(g: Game, omega_u) -> UpperBoundResult:
     if not 0.0 < w < 1.0:
         raise ValueError(f"omega must lie in (0, 1), got {w!r}")
     log_d = _log_dim(g)
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, -math.log2(w)
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = _bound_at(c, w, log_d)[0], _bound_at(d, w, log_d)[0]
-    while b - a > 1e-12:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = _bound_at(c, w, log_d)[0]
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = _bound_at(d, w, log_d)[0]
-    delta_star = float(0.5 * (a + b))
-    bound, eps = _bound_at(delta_star, w, log_d)
-    return UpperBoundResult(delta_star, eps, bound, w)
+    if log_d == 0.0:
+        raise ValueError("a 1 x 1 game has sum rate 0: no bound to optimize")
+    y = 1.0 - w
+
+    def gap(e: float) -> float:
+        lhs = (e * log_d + binary_entropy(e)) / (1.0 - e)
+        return lhs - binary_rel_entropy(e, y)
+
+    eps = _crossing(gap, y)
+    return UpperBoundResult(eps * log_d, eps, (1.0 - eps) * log_d, w)
 
 
 def upper_bound_curve(g: Game, omega_u, points: int = 200) -> np.ndarray:
@@ -206,9 +206,9 @@ def upper_bound_curve(g: Game, omega_u, points: int = 200) -> np.ndarray:
     if not 0.0 < w < 1.0:
         raise ValueError(f"omega must lie in (0, 1), got {w!r}")
     log_d = _log_dim(g)
-    d_max = -math.log2(w)
-    deltas = np.linspace(0.0, d_max, points)
-    return np.array([[d, _bound_at(d, w, log_d)[0]] for d in deltas])
+    deltas = np.linspace(0.0, -math.log2(w), points)
+    eps = np.array([solve_eps_star(d, w).value for d in deltas])
+    return np.column_stack([deltas, np.maximum((1.0 - eps) * log_d, log_d - deltas)])
 
 
 # ---------------------------------------------------------------------------
@@ -726,18 +726,9 @@ def _boundary_chain(points: Sequence[tuple[float, float]]):
         aug.add((r1, 0.0))
         aug.add((0.0, r2))
     hull = _convex_hull(list(aug))
-    if len(hull) == 1:
-        return hull
-    start = max(range(len(hull)), key=lambda i: (hull[i][0], -hull[i][1]))
-    top = max(hull, key=lambda v: (v[1], -v[0]))
-    chain = []
-    i = start
-    for _ in range(len(hull)):
-        chain.append(hull[i])
-        if hull[i] == top:
-            break
-        i = (i + 1) % len(hull)
-    return chain
+    i = max(range(len(hull)), key=lambda k: (hull[k][0], -hull[k][1]))
+    j = max(range(len(hull)), key=lambda k: (hull[k][1], -hull[k][0]))
+    return (hull[i:] + hull[:i])[: (j - i) % len(hull) + 1]
 
 
 def inner_bound(

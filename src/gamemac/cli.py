@@ -167,7 +167,7 @@ def _cmd_sumrate_bound(args) -> int:
             ).value
         except games.EnumerationBudgetError as exc:
             raise _CliError(EXIT_BUDGET, str(exc)) from exc
-    if omega == 1:
+    if float(omega) == 1.0:
         raise _CliError(EXIT_DEGENERATE, "omega = 1: no nontrivial bound")
     result = capacity.sum_rate_upper_bound(g, omega)
     print(

@@ -158,9 +158,35 @@ class TestSumRateUpperBound:
         assert LOG9 - res.bound < 1e-4
         assert res.bound <= LOG9
 
+    @pytest.mark.parametrize("omega", [1 - 1e-14, 1 - 1e-15, 1 - 2**-52, 1 - 2**-53])
+    def test_omega_within_rounding_of_one(self, omega):
+        g = magic_square_game()
+        res = sum_rate_upper_bound(g, omega)
+        assert sum_rate_upper_bound(g, 1 - 1e-9).bound <= res.bound <= LOG9
+
     def test_omega_one_rejected(self):
         with pytest.raises(ValueError):
             sum_rate_upper_bound(magic_square_game(), Fraction(1, 1))
+
+    def test_one_question_pair_rejected(self):
+        # d = 1: every slack gives the bound 0, so there is no optimum to report
+        with pytest.raises(ValueError, match="1 x 1"):
+            sum_rate_upper_bound(all_lose_game(1, 1), 0.5)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        nx1=st.integers(2, 9),
+        nx2=st.integers(2, 9),
+        omega=st.floats(0.05, 1 - 1e-6),
+    )
+    def test_optimum_against_sampled_curve(self, nx1, nx2, omega):
+        # oracle: no sampled slack beats the optimum, and eps* is the slack
+        # equation's own root at the reported delta*
+        g = all_lose_game(nx1, nx2)
+        res = sum_rate_upper_bound(g, omega)
+        assert res.bound <= upper_bound_curve(g, omega, 400)[:, 1].min() + 1e-12
+        eps = solve_eps_star(res.delta_star, omega).value
+        assert eps == pytest.approx(res.eps_star, rel=1e-9)
 
     def test_bound_at_optimum_balances_branches(self):
         # the minimum of max{rising, falling} sits where the branches meet

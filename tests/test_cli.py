@@ -145,6 +145,17 @@ class TestSumrateBound:
         code, _, err = run("sumrate-bound", "magicsquare", "--omega", "1/1")
         assert code == 4
 
+    def test_omega_rounding_to_one_exits_4(self, run):
+        omega = "99999999999999999/100000000000000000"
+        code, _, _ = run("sumrate-bound", "magicsquare", "--omega", omega)
+        assert code == 4
+
+    def test_omega_near_one_gives_a_bound(self, run):
+        omega = "99999999999999/100000000000000"
+        code, out, _ = run("sumrate-bound", "magicsquare", "--omega", omega)
+        assert code == 0
+        assert out == "delta*=0.000000 eps*=0.000000 bound=3.169925\n"
+
     def test_bad_omega_exits_2(self, run):
         code, _, _ = run("sumrate-bound", "magicsquare", "--omega", "5/4")
         assert code == 2
