@@ -16,9 +16,7 @@ from .capacity import (
     UpperBoundResult,
     binary_entropy,
     binary_rel_entropy,
-    hastad_game,
     inner_bound,
-    linear_system_game,
     lsg_rates,
     solve_eps_star,
     sum_capacity_lower_bound,
@@ -53,6 +51,8 @@ from .games import (
     PromisedGame,
     chsh_game,
     deterministic_strategy,
+    hastad_game,
+    linear_system_game,
     load_game_file,
     losing_probability,
     magic_square_game,

@@ -15,9 +15,8 @@ Three families of results live here:
   with alternating Blahut–Arimoto block updates stopped on a Frank–Wolfe gap,
   shortened by a SQUAREM extrapolation after every second sweep that is
   kept only where it stays feasible and raises the objective;
-* closed-form achievable rates for channels built from linear-system games,
-  plus constructors for those games and for clause/variable games built
-  from 3-CNF formulas.
+* closed-form achievable rates for channels built from linear-system games
+  (the games themselves are built in :mod:`gamemac.games`).
 
 All rates are in bits.  Every randomized routine takes an explicit seed and
 is deterministic for a fixed seed and fixed restart and weight counts.
@@ -33,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channel import Mac, Pentagon, ProductInput, pentagon
-from .games import Game, PromisedGame, promise_free
+from .games import Game
 
 _INV_LN2 = 1.0 / math.log(2.0)
 
@@ -259,9 +258,6 @@ class RegionBound:
                 raise ValueError("vertices must have R1 nonincreasing, R2 nondecreasing")
         if min(min(v) for v in self.vertices) < 0.0:
             raise ValueError("rates must be nonnegative")
-
-    def best_sum_rate(self) -> float:
-        return max(r1 + r2 for r1, r2 in self.vertices)
 
 
 def _log2(x: np.ndarray) -> np.ndarray:
@@ -797,7 +793,7 @@ def sum_capacity_lower_bound(
 
 
 # ---------------------------------------------------------------------------
-# linear-system and clause/variable games
+# linear-system game rates
 
 
 @dataclasses.dataclass(frozen=True)
@@ -846,99 +842,6 @@ def lsg_rates(m: int, n: int, p_l: float, f_d: float) -> LsgRates:
     r1 = max((1.0 - p_l) * math.log2(m) - defect - floor, 0.0)
     r2 = max((1.0 - p_l) * math.log2(n) - defect - floor, 0.0)
     return LsgRates(m, n, p_l, f_d, r1, r2)
-
-
-def hastad_game(clauses: Sequence[Sequence[int]], n_vars: int | None = None) -> Game:
-    """Clause/variable agreement game for a 3-CNF formula, promise-free.
-
-    Alice receives a clause index and answers with one of the 8 assignments
-    to that clause's three variables (in clause order, first variable in the
-    most significant bit).  Bob receives a variable index and answers a
-    truth value.  On promised pairs (Bob's variable occurs in Alice's
-    clause) they win iff Alice's assignment satisfies the clause and agrees
-    with Bob's value; other pairs win automatically.
-
-    Args:
-        clauses: Sequences of exactly three signed, distinct 1-based variable
-            indices; a negative literal means the negated variable.
-        n_vars: Total variable count; defaults to the largest index used.
-    """
-    parsed = []
-    for c in clauses:
-        lits = tuple(int(l) for l in c)
-        if len(lits) != 3:
-            raise ValueError(f"clause {lits!r} must have exactly 3 literals")
-        if any(l == 0 for l in lits):
-            raise ValueError("literals are nonzero signed variable indices")
-        if len({abs(l) for l in lits}) != 3:
-            raise ValueError(f"clause {lits!r} repeats a variable")
-        parsed.append(lits)
-    if not parsed:
-        raise ValueError("formula needs at least one clause")
-    max_var = max(abs(l) for c in parsed for l in c)
-    n = max_var if n_vars is None else int(n_vars)
-    if n < max_var:
-        raise ValueError(f"n_vars={n} but a clause mentions variable {max_var}")
-    m = len(parsed)
-    promise = np.zeros((m, n), dtype=bool)
-    win = np.zeros((m, n, 8, 2), dtype=bool)
-    for j, lits in enumerate(parsed):
-        variables = [abs(l) - 1 for l in lits]
-        promise[j, variables] = True
-        for a in range(8):
-            bits = ((a >> 2) & 1, (a >> 1) & 1, a & 1)
-            if not any(bits[i] == (1 if lits[i] > 0 else 0) for i in range(3)):
-                continue
-            for pos, v in enumerate(variables):
-                win[j, v, a, bits[pos]] = True
-    return promise_free(PromisedGame(m, n, 8, 2, win, promise))
-
-
-def linear_system_game(a_matrix, b_vector) -> Game:
-    """Row/variable agreement game for a binary linear system, promise-free.
-
-    Alice receives a row index ``i`` and answers an assignment to the
-    variables of that row whose parity matches the right-hand side; Bob
-    receives a variable index and answers a bit.  On promised pairs (the
-    variable occurs in the row) they win iff the assignments agree; other
-    pairs win automatically.  Alice's answers are indexed by enumerating the
-    row's assignments in lexicographic order (lowest variable index in the
-    most significant bit) and keeping the parity-valid ones; rows with fewer
-    valid assignments than the widest row are padded with answers that lose
-    on every promised pair.
-
-    Args:
-        a_matrix: Binary m x n coefficient matrix; every row must be nonzero.
-        b_vector: Binary right-hand side of length m.
-    """
-    a = np.asarray(a_matrix, dtype=int) % 2
-    b = np.asarray(b_vector, dtype=int) % 2
-    if a.ndim != 2:
-        raise ValueError("coefficient matrix must be two-dimensional")
-    m, n = a.shape
-    if b.shape != (m,):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({m},)")
-    supports = []
-    for i in range(m):
-        sup = np.nonzero(a[i])[0]
-        if len(sup) == 0:
-            raise ValueError(f"row {i} of the system is zero")
-        supports.append(sup)
-    ny1 = max(2 ** (len(sup) - 1) for sup in supports)
-    promise = np.zeros((m, n), dtype=bool)
-    win = np.zeros((m, n, ny1, 2), dtype=bool)
-    for i, sup in enumerate(supports):
-        promise[i, sup] = True
-        k = len(sup)
-        ans = 0
-        for code in range(2**k):
-            bits = [(code >> (k - 1 - pos)) & 1 for pos in range(k)]
-            if sum(bits) % 2 != b[i]:
-                continue
-            for pos, j in enumerate(sup):
-                win[i, j, ans, bits[pos]] = True
-            ans += 1
-    return promise_free(PromisedGame(m, n, ny1, 2, win, promise))
 
 
 # ---------------------------------------------------------------------------

@@ -83,27 +83,19 @@ def _load_game(arg: str) -> games.Game:
 
 
 def _load_game_or_mac(arg: str) -> channel.Mac:
-    builder = games.BUILTIN_GAMES.get(arg)
-    if builder is not None:
-        return channel.mac_from_game(builder())
-    if not os.path.exists(arg):
-        raise _CliError(EXIT_INPUT, f"no such builtin or file: {arg}")
-    try:
-        with open(arg, "r", encoding="utf-8") as fh:
-            first = fh.readline().split()
-    except OSError as exc:
-        raise _CliError(EXIT_IO, str(exc)) from exc
-    kind = first[0] if first else ""
-    try:
-        if kind == "game":
-            return channel.mac_from_game(games.load_game_file(arg))
-        if kind == "mac":
-            return channel.load_mac_file(arg)
-    except (games.GameFormatError, channel.MacFormatError) as exc:
-        raise _CliError(EXIT_INPUT, str(exc)) from exc
-    except OSError as exc:
-        raise _CliError(EXIT_IO, str(exc)) from exc
-    raise _CliError(EXIT_INPUT, f"{arg}: expected a 'game' or 'mac' header")
+    if arg not in games.BUILTIN_GAMES and os.path.exists(arg):
+        try:
+            with open(arg, "r", encoding="utf-8") as fh:
+                kind = fh.readline().split()[:1]
+            if kind == ["mac"]:
+                return channel.load_mac_file(arg)
+        except channel.MacFormatError as exc:
+            raise _CliError(EXIT_INPUT, str(exc)) from exc
+        except OSError as exc:
+            raise _CliError(EXIT_IO, str(exc)) from exc
+        if kind != ["game"]:
+            raise _CliError(EXIT_INPUT, f"{arg}: expected a 'game' or 'mac' header")
+    return channel.mac_from_game(_load_game(arg))
 
 
 def _cmd_omega(args) -> int:

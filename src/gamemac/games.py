@@ -1,14 +1,17 @@
-"""Finite two-player non-local games and exact classical analysis.
+"""Finite two-player non-local games: construction and exact classical analysis.
 
 A game couples two players who each receive a question and return an answer
 without communicating; a boolean table decides which question/answer tuples
 win.  Games are stored promise-free: every question pair is allowed, and
 question pairs that were outside an original promise win automatically.
+The constructors build CHSH, the magic square, and the agreement games of
+binary linear systems and of 3-CNF formulas.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Sequence
@@ -19,11 +22,19 @@ DEFAULT_ENUMERATION_BUDGET = 10**8
 
 _CHUNK = 8192
 
+
+def _assignments(k: int, parity: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """The k-bit tuples in lexicographic order (first bit most significant),
+    only those whose bit sum has parity ``parity`` if it is given."""
+    bits = itertools.product((0, 1), repeat=k)
+    return tuple(t for t in bits if parity is None or sum(t) % 2 == parity)
+
+
 # Answer alphabets of the built-in magic square game.  Alice's answers are the
 # four even-parity 3-bit strings, Bob's the four odd-parity ones, both indexed
 # by their leading two bits (index 2*b0 + b1).
-MAGIC_SQUARE_ALICE_ANSWERS = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
-MAGIC_SQUARE_BOB_ANSWERS = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
+MAGIC_SQUARE_ALICE_ANSWERS = _assignments(3, 0)
+MAGIC_SQUARE_BOB_ANSWERS = _assignments(3, 1)
 
 
 class GameFormatError(ValueError):
@@ -343,6 +354,99 @@ def magic_square_game() -> Game:
         t = MAGIC_SQUARE_BOB_ANSWERS[b]
         win[r, c, a, b] = s[c] == t[r]
     return Game(3, 3, 4, 4, win)
+
+
+def _agreement_game(scopes, answers, n_vars: int) -> Game:
+    """Constraint/variable agreement game, promise-free.
+
+    Alice's answer ``y`` to constraint ``j`` is the bit tuple ``answers[j][y]``
+    over the variables ``scopes[j]``; ``None``, or a padding index past the
+    list, loses on every promised pair.  Bob answers a bit for one of
+    ``n_vars`` variables.  A promised pair (his variable is in her scope) wins
+    iff the two bits for that variable agree; other pairs win automatically.
+    """
+    m = len(scopes)
+    ny1 = max(len(ans) for ans in answers)
+    promise = np.zeros((m, n_vars), dtype=bool)
+    win = np.zeros((m, n_vars, ny1, 2), dtype=bool)
+    for j, (scope, ans) in enumerate(zip(scopes, answers)):
+        promise[j, scope] = True
+        for y, bits in enumerate(ans):
+            if bits is not None:
+                win[j, scope, y, bits] = True
+    return promise_free(PromisedGame(m, n_vars, ny1, 2, win, promise))
+
+
+def hastad_game(clauses: Sequence[Sequence[int]], n_vars: int | None = None) -> Game:
+    """Clause/variable agreement game for a 3-CNF formula, promise-free.
+
+    Alice receives a clause index and answers with one of the 8 assignments
+    to that clause's three variables (in clause order, first variable in the
+    most significant bit).  Bob receives a variable index and answers a
+    truth value.  On promised pairs (Bob's variable occurs in Alice's
+    clause) they win iff Alice's assignment satisfies the clause and agrees
+    with Bob's value; other pairs win automatically.
+
+    Args:
+        clauses: Sequences of exactly three signed, distinct 1-based variable
+            indices; a negative literal means the negated variable.
+        n_vars: Total variable count; defaults to the largest index used.
+    """
+    parsed = []
+    for c in clauses:
+        lits = tuple(int(l) for l in c)
+        if len(lits) != 3:
+            raise ValueError(f"clause {lits!r} must have exactly 3 literals")
+        if any(l == 0 for l in lits):
+            raise ValueError("literals are nonzero signed variable indices")
+        if len({abs(l) for l in lits}) != 3:
+            raise ValueError(f"clause {lits!r} repeats a variable")
+        parsed.append(lits)
+    if not parsed:
+        raise ValueError("formula needs at least one clause")
+    max_var = max(abs(l) for c in parsed for l in c)
+    n = max_var if n_vars is None else int(n_vars)
+    if n < max_var:
+        raise ValueError(f"n_vars={n} but a clause mentions variable {max_var}")
+    scopes = [[abs(l) - 1 for l in lits] for lits in parsed]
+    # the one assignment that violates a clause makes each of its literals false
+    violated = [tuple(int(l < 0) for l in lits) for lits in parsed]
+    answers = [[t if t != v else None for t in _assignments(3)] for v in violated]
+    return _agreement_game(scopes, answers, n)
+
+
+def linear_system_game(a_matrix, b_vector) -> Game:
+    """Row/variable agreement game for a binary linear system, promise-free.
+
+    Alice receives a row index ``i`` and answers an assignment to the
+    variables of that row whose parity matches the right-hand side; Bob
+    receives a variable index and answers a bit.  On promised pairs (the
+    variable occurs in the row) they win iff the assignments agree; other
+    pairs win automatically.  Alice's answers are indexed by enumerating the
+    row's assignments in lexicographic order (lowest variable index in the
+    most significant bit) and keeping the parity-valid ones; rows with fewer
+    valid assignments than the widest row are padded with answers that lose
+    on every promised pair.
+
+    Args:
+        a_matrix: Binary m x n coefficient matrix; every row must be nonzero.
+        b_vector: Binary right-hand side of length m.
+    """
+    a = np.asarray(a_matrix, dtype=int) % 2
+    b = np.asarray(b_vector, dtype=int) % 2
+    if a.ndim != 2:
+        raise ValueError("coefficient matrix must be two-dimensional")
+    m, n = a.shape
+    if b.shape != (m,):
+        raise ValueError(f"right-hand side has shape {b.shape}, expected ({m},)")
+    supports = []
+    for i in range(m):
+        sup = np.nonzero(a[i])[0]
+        if len(sup) == 0:
+            raise ValueError(f"row {i} of the system is zero")
+        supports.append(sup)
+    answers = [_assignments(len(sup), int(b[i])) for i, sup in enumerate(supports)]
+    return _agreement_game(supports, answers, n)
 
 
 BUILTIN_GAMES = {

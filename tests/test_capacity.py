@@ -1,4 +1,4 @@
-"""Tests for sum-rate bounds, inner bounds, and game constructors."""
+"""Tests for sum-rate bounds, inner bounds, and linear-system game rates."""
 
 import math
 import warnings
@@ -14,9 +14,7 @@ from gamemac import (
     binary_entropy,
     binary_rel_entropy,
     chsh_game,
-    hastad_game,
     inner_bound,
-    linear_system_game,
     lsg_rates,
     mac_from_game,
     magic_square_game,
@@ -118,8 +116,9 @@ class TestSolveEpsStar:
         delta, omega = 0.05, 0.75
         eps = solve_eps_star(delta, omega).value
         grid = np.arange(1e-7, 0.25, 1e-7)
-        lhs = (delta + np.array([binary_entropy(x) for x in grid])) / (1 - grid)
-        rhs = np.array([binary_rel_entropy(x, 0.25) for x in grid])
+        h = -grid * np.log2(grid) - (1 - grid) * np.log2(1 - grid)
+        lhs = (delta + h) / (1 - grid)
+        rhs = grid * np.log2(grid / 0.25) + (1 - grid) * np.log2((1 - grid) / 0.75)
         crossing = grid[np.argmax(lhs >= rhs)]
         assert abs(eps - crossing) < 1e-6
 
@@ -732,97 +731,6 @@ class TestLsgRates:
             lsg_rates(2, 2, 1.5, 0.0)
         with pytest.raises(ValueError):
             lsg_rates(2, 2, 0.0, -0.2)
-
-
-class TestHastadGame:
-    def test_satisfiable_formula_is_perfect(self):
-        g = hastad_game([(1, 2, 3)])
-        assert omega_uniform_bruteforce(g).value == 1
-
-    def test_malformed_clauses_rejected(self):
-        with pytest.raises(ValueError):
-            hastad_game([(1, 1, 2)])
-        with pytest.raises(ValueError):
-            hastad_game([(1, 2)])
-        with pytest.raises(ValueError):
-            hastad_game([(0, 1, 2)])
-
-    def test_unsatisfiable_eight_clause_formula(self):
-        # all eight sign patterns over three variables: any assignment
-        # violates exactly one clause, so the best strategy agrees with a
-        # fixed assignment except on one bit of the violated clause
-        clauses = []
-        for signs in np.ndindex(2, 2, 2):
-            clauses.append(
-                tuple((v + 1) * (1 if s == 0 else -1) for v, s in enumerate(signs))
-            )
-        g = hastad_game(clauses)
-        assert (g.nx1, g.nx2, g.ny1, g.ny2) == (8, 3, 8, 2)
-        result = omega_uniform_bruteforce(g)
-        assert result.value < 1
-        assert result.value == Fraction(23, 24)
-
-    def test_ten_clause_formula_solves_under_default_budget(self):
-        # 8**10 * 2**6 (about 6.9e10) strategy pairs, but the brute force
-        # only enumerates Bob's 2**6 tables; the eight sign patterns over
-        # variables 1-3 make it unsatisfiable, so exactly one of the 60
-        # question pairs is lost
-        clauses = [
-            tuple((v + 1) * (1 if s == 0 else -1) for v, s in enumerate(signs))
-            for signs in np.ndindex(2, 2, 2)
-        ] + [(4, 5, 6), (-4, -5, 6)]
-        g = hastad_game(clauses)
-        assert (g.nx1, g.nx2, g.ny1, g.ny2) == (10, 6, 8, 2)
-        assert omega_uniform_bruteforce(g).value == Fraction(59, 60)
-
-    def test_promise_free_conversion_applied(self):
-        g = hastad_game([(1, 2, 3)], n_vars=5)
-        # variables 4 and 5 are outside the clause: automatic win
-        assert g.win[0, 3].all()
-        assert g.win[0, 4].all()
-
-
-class TestLinearSystemGame:
-    def test_consistent_system_is_perfect(self):
-        a = [[1, 1, 0], [0, 1, 1]]
-        b = [0, 1]
-        g = linear_system_game(a, b)
-        assert omega_uniform_bruteforce(g).value == 1
-
-    def test_single_equation(self):
-        g = linear_system_game([[1]], [1])
-        assert (g.nx1, g.nx2, g.ny1, g.ny2) == (1, 1, 1, 2)
-        assert omega_uniform_bruteforce(g).value == 1
-
-    def test_magic_square_parity_system(self):
-        # 3 row sums even, 3 column sums odd over a 3x3 grid of bits
-        a = np.zeros((6, 9), dtype=int)
-        for r in range(3):
-            a[r, 3 * r : 3 * r + 3] = 1
-        for c in range(3):
-            a[3 + c, c::3] = 1
-        b = [0, 0, 0, 1, 1, 1]
-        g = linear_system_game(a, b)
-        assert (g.nx1, g.nx2, g.ny1, g.ny2) == (6, 9, 4, 2)
-        result = omega_uniform_bruteforce(g)
-        assert result.value < 1
-        assert result.value == Fraction(53, 54)
-
-    def test_zero_row_rejected(self):
-        with pytest.raises(ValueError):
-            linear_system_game([[0, 0], [1, 1]], [0, 0])
-
-    def test_padded_answers_always_lose_on_promise(self):
-        # rows of different support sizes force padding on the narrow row
-        a = [[1, 1, 1], [1, 1, 0]]
-        b = [0, 0]
-        g = linear_system_game(a, b)
-        assert g.ny1 == 4
-        # second row has only 2 valid assignments; pads 2..3 lose on support
-        assert not g.win[1, 0, 2, :].any()
-        assert not g.win[1, 0, 3, :].any()
-        # but win automatically outside the promise
-        assert g.win[1, 2].all()
 
 
 class TestDataExports:

@@ -1,4 +1,5 @@
-"""Tests for game representation, evaluation, and exact brute force."""
+"""Tests for game representation, evaluation, exact brute force, and the
+linear-system and clause/variable game constructors."""
 
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from gamemac import (
     chsh_game,
     deterministic_strategy,
     hastad_game,
+    linear_system_game,
     load_game_file,
     losing_probability,
     magic_square_game,
@@ -275,6 +277,150 @@ class TestBruteForce:
         replies = [tuple(win[:, 0, :, b].argmax(axis=1).tolist()) for b in (0, 1)]
         assert result.alice == replies[0] == min(replies)
         assert result.bob == (0,)
+
+
+class TestHastadGame:
+    def test_satisfiable_formula_is_perfect(self):
+        g = hastad_game([(1, 2, 3)])
+        assert omega_uniform_bruteforce(g).value == 1
+
+    def test_malformed_clauses_rejected(self):
+        with pytest.raises(ValueError):
+            hastad_game([(1, 1, 2)])
+        with pytest.raises(ValueError):
+            hastad_game([(1, 2)])
+        with pytest.raises(ValueError):
+            hastad_game([(0, 1, 2)])
+
+    def test_unsatisfiable_eight_clause_formula(self):
+        # all eight sign patterns over three variables: any assignment
+        # violates exactly one clause, so the best strategy agrees with a
+        # fixed assignment except on one bit of the violated clause
+        clauses = []
+        for signs in np.ndindex(2, 2, 2):
+            clauses.append(
+                tuple((v + 1) * (1 if s == 0 else -1) for v, s in enumerate(signs))
+            )
+        g = hastad_game(clauses)
+        assert (g.nx1, g.nx2, g.ny1, g.ny2) == (8, 3, 8, 2)
+        result = omega_uniform_bruteforce(g)
+        assert result.value < 1
+        assert result.value == Fraction(23, 24)
+
+    def test_ten_clause_formula_solves_under_default_budget(self):
+        # 8**10 * 2**6 (about 6.9e10) strategy pairs, but the brute force
+        # only enumerates Bob's 2**6 tables; the eight sign patterns over
+        # variables 1-3 make it unsatisfiable, so exactly one of the 60
+        # question pairs is lost
+        clauses = [
+            tuple((v + 1) * (1 if s == 0 else -1) for v, s in enumerate(signs))
+            for signs in np.ndindex(2, 2, 2)
+        ] + [(4, 5, 6), (-4, -5, 6)]
+        g = hastad_game(clauses)
+        assert (g.nx1, g.nx2, g.ny1, g.ny2) == (10, 6, 8, 2)
+        assert omega_uniform_bruteforce(g).value == Fraction(59, 60)
+
+    def test_promise_free_conversion_applied(self):
+        g = hastad_game([(1, 2, 3)], n_vars=5)
+        # variables 4 and 5 are outside the clause: automatic win
+        assert g.win[0, 3].all()
+        assert g.win[0, 4].all()
+
+
+class TestLinearSystemGame:
+    def test_consistent_system_is_perfect(self):
+        a = [[1, 1, 0], [0, 1, 1]]
+        b = [0, 1]
+        g = linear_system_game(a, b)
+        assert omega_uniform_bruteforce(g).value == 1
+
+    def test_single_equation(self):
+        g = linear_system_game([[1]], [1])
+        assert (g.nx1, g.nx2, g.ny1, g.ny2) == (1, 1, 1, 2)
+        assert omega_uniform_bruteforce(g).value == 1
+
+    def test_magic_square_parity_system(self):
+        # 3 row sums even, 3 column sums odd over a 3x3 grid of bits
+        a = np.zeros((6, 9), dtype=int)
+        for r in range(3):
+            a[r, 3 * r : 3 * r + 3] = 1
+        for c in range(3):
+            a[3 + c, c::3] = 1
+        b = [0, 0, 0, 1, 1, 1]
+        g = linear_system_game(a, b)
+        assert (g.nx1, g.nx2, g.ny1, g.ny2) == (6, 9, 4, 2)
+        result = omega_uniform_bruteforce(g)
+        assert result.value < 1
+        assert result.value == Fraction(53, 54)
+
+    def test_zero_row_rejected(self):
+        with pytest.raises(ValueError):
+            linear_system_game([[0, 0], [1, 1]], [0, 0])
+
+    def test_padded_answers_always_lose_on_promise(self):
+        # rows of different support sizes force padding on the narrow row
+        a = [[1, 1, 1], [1, 1, 0]]
+        b = [0, 0]
+        g = linear_system_game(a, b)
+        assert g.ny1 == 4
+        # second row has only 2 valid assignments; pads 2..3 lose on support
+        assert not g.win[1, 0, 2, :].any()
+        assert not g.win[1, 0, 3, :].any()
+        # but win automatically outside the promise
+        assert g.win[1, 2].all()
+
+
+class TestAgreementDefinition:
+    """Every win entry of the two constructors against the game's definition.
+
+    An unpromised pair wins; a promised pair wins iff Alice's answer is a
+    valid assignment whose bit at Bob's variable equals Bob's answer.
+    """
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), n=st.integers(3, 8))
+    def test_hastad_win_table(self, seed, m, n):
+        rng = np.random.default_rng(seed)
+        clauses = []
+        for _ in range(m):
+            variables = rng.choice(n, size=3, replace=False) + 1
+            signs = rng.choice([-1, 1], size=3)
+            clauses.append(tuple(int(v * s) for v, s in zip(variables, signs)))
+        g = hastad_game(clauses, n_vars=n)
+        assert (g.nx1, g.nx2, g.ny1, g.ny2) == (m, n, 8, 2)
+        for j, v, y1, y2 in np.ndindex(g.win.shape):
+            lits = clauses[j]
+            scope = [abs(l) - 1 for l in lits]
+            bits = [(y1 >> 2) & 1, (y1 >> 1) & 1, y1 & 1]  # first variable first
+            if v not in scope:
+                expected = True
+            else:
+                satisfied = any(bit == (l > 0) for bit, l in zip(bits, lits))
+                expected = satisfied and bits[scope.index(v)] == y2
+            assert g.win[j, v, y1, y2] == expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), n=st.integers(1, 6))
+    def test_linear_system_win_table(self, seed, m, n):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 2, size=(m, n))
+        a[np.arange(m), rng.integers(0, n, size=m)] = 1  # no zero row
+        b = rng.integers(0, 2, size=m)
+        g = linear_system_game(a, b)
+        scopes = [[v for v in range(n) if a[i, v]] for i in range(m)]
+        valid = []  # per row: parity-valid assignments, lowest variable first
+        for i, scope in enumerate(scopes):
+            k = len(scope)
+            codes = [c for c in range(2**k) if bin(c).count("1") % 2 == b[i]]
+            valid.append([[(c >> (k - 1 - pos)) & 1 for pos in range(k)] for c in codes])
+        assert (g.nx1, g.nx2, g.ny2) == (m, n, 2)
+        assert g.ny1 == max(len(rows) for rows in valid)
+        for i, v, y1, y2 in np.ndindex(g.win.shape):
+            if v not in scopes[i]:
+                expected = True
+            else:
+                expected = y1 < len(valid[i]) and valid[i][y1][scopes[i].index(v)] == y2
+            assert g.win[i, v, y1, y2] == expected
 
 
 class TestGameFile:
