@@ -33,7 +33,6 @@ from .channel import (
     ProductInput,
     compose,
     entropy,
-    identity_encoding,
     load_mac_file,
     mac_from_game,
     pentagon,

@@ -18,6 +18,7 @@ Three families of results live here:
 * closed-form achievable rates for channels built from linear-system games
   (the games themselves are built in :mod:`gamemac.games`).
 
+The pentagon rates and the channel layouts come from :mod:`gamemac.channel`.
 All rates are in bits.  Every randomized routine takes an explicit seed and
 is deterministic for a fixed seed and fixed restart and weight counts.
 """
@@ -31,7 +32,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import Mac, Pentagon, ProductInput, pentagon
+from .channel import (
+    Mac, Pentagon, ProductInput, _rates, _row_entropies, _Workspace, pentagon
+)
 from .games import Game
 
 _INV_LN2 = 1.0 / math.log(2.0)
@@ -260,38 +263,12 @@ class RegionBound:
             raise ValueError("rates must be nonnegative")
 
 
-def _log2(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``log2``, with 0 where ``x`` is 0."""
-    return np.log2(x, where=x > 0.0, out=np.zeros_like(x))
-
-
-def _row_entropies(p: np.ndarray) -> np.ndarray:
-    """Entropies in bits along the last axis; zero cells contribute zero."""
-    return -(p * _log2(p)).sum(axis=-1)
-
-
 def _log2_in_place(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``x <- log2(x)`` in place, with ``log 0`` taken as 0.
 
     ``x`` is nonnegative; ``mask`` is a boolean scratch array of its shape.
     """
     return np.log2(x, out=x, where=np.greater(x, 0.0, out=mask))
-
-
-class _Workspace:
-    """Preprocessed channel tables shared by all optimizer runs.
-
-    Index 0 is the first sender's view and index 1 the second's: ``flat[s]``
-    has one row per input of sender ``s``, over (other input, output) pairs,
-    and ``rowent[s][own, other]`` is the entropy of that channel row.
-    """
-
-    def __init__(self, n: Mac):
-        chan_t = np.ascontiguousarray(n.p.transpose(1, 0, 2))
-        rowent = _row_entropies(n.p)
-        self.nz = n.nz
-        self.flat = (n.p.reshape(n.na, -1), chan_t.reshape(n.nb, -1))
-        self.rowent = (rowent, np.ascontiguousarray(rowent.T))
 
 
 def _vertex_coeffs(mu):
@@ -631,36 +608,14 @@ def _dirichlet_inits(seed: int, tag: int, restarts: int, na: int, nb: int):
     return pa, pb
 
 
-def _rates(ws: _Workspace, pa, pb):
-    """Each row's ``I(A;Z|B)``, ``I(B;Z|A)`` and ``I(A,B;Z)`` at ``(pa, pb)``.
-
-    One ``(rows, 3)`` array, from the channel layouts of ``ws``:
-    ``H(BZ) - H(B) - H(Z|AB)``, ``H(AZ) - H(A) - H(Z|AB)`` and
-    ``H(Z) - H(Z|AB)`` with ``H(Z|AB) = sum_ab pa[a] pb[b] H(N(.|a, b))``,
-    each clamped at 0.  These are the rates :func:`pentagon` gives at
-    ``ProductInput(pa[r], pb[r])``, up to rounding.
-    """
-    n = len(pa)
-    h_cond = ((pa @ ws.rowent[0]) * pb).sum(axis=1)
-    joint_bz = np.repeat(pb, ws.nz, axis=1) * (pa @ ws.flat[0])
-    joint_az = np.repeat(pa, ws.nz, axis=1) * (pb @ ws.flat[1])
-    h_z = _row_entropies(joint_bz.reshape(n, -1, ws.nz).sum(axis=1))
-    rates = np.stack([
-        _row_entropies(joint_bz) - _row_entropies(pb) - h_cond,
-        _row_entropies(joint_az) - _row_entropies(pa) - h_cond,
-        h_z - h_cond,
-    ], axis=1)
-    return np.maximum(rates, 0.0)
-
-
 def _solve(n: Mac, mus: Sequence[float], seed: int, restarts: int):
     """Optimize every (weight, restart) row in one batch.
 
     Row ``tag * restarts + r`` starts from the ``(seed, tag, r)`` Dirichlet
     draw and maximizes the weight ``mus[tag]``.  Returns, row by row in that
     order, the senders' inputs ``pa`` and ``pb``, the pentagon rates from
-    :func:`_rates` (one array pass for the whole batch, not one joint
-    distribution per row) and the optimizer's final gaps.
+    :func:`_rates` (one array pass for the whole batch) and the optimizer's
+    final gaps.
     """
     inits = [
         _dirichlet_inits(seed, tag, restarts, n.na, n.nb) for tag in range(len(mus))
@@ -789,6 +744,7 @@ def sum_capacity_lower_bound(
     pa, pb, rates, _ = _solve(n, [0.5], seed, restarts)
     best = int(np.argmax(rates[:, 2]))
     q = ProductInput(pa[best], pb[best])
+    # not rates[best, 2]: a row in a batch can round apart from the row alone
     return pentagon(n, q).sum_max, q
 
 

@@ -6,6 +6,10 @@ according to a conditional table ``p[a, b, z]``.  The compiler
 winning question/answer tuple the channel forwards the question pair
 noiselessly, otherwise it outputs a uniformly random question pair.
 
+The pentagon rates at a product input have one formula, :func:`_rates`, over
+a batch of input pairs; :func:`pentagon` is its one-row case, and the
+optimizer in :mod:`gamemac.capacity` runs it on whole batches.
+
 Index conventions (shared with :mod:`gamemac.games`): a sender's composite
 question/answer input is paired x-major, ``index = x * ny + y``, and the
 output pairs questions x1-major, ``z = x1 * nx2 + x2``.  All rates and
@@ -148,21 +152,12 @@ def mac_from_game(g: Game) -> Mac:
     return Mac(na, nb, nz, p)
 
 
-def identity_encoding(na: int, nb: int) -> Encoding:
-    """The encoding that feeds both raw inputs through unchanged."""
-    p = np.zeros((na, nb, na, nb))
-    ia = np.arange(na)[:, None]
-    ib = np.arange(nb)[None, :]
-    p[ia, ib, ia, ib] = 1.0
-    return Encoding(na, nb, na, nb, p)
-
-
 def compose(n: Mac, e: Encoding) -> Mac:
     """The end-to-end channel obtained by feeding an encoding into a MAC.
 
     ``(N o E)(z | a1, b1) = sum_{a,b} N(z | a, b) E(a, b | a1, b1)``.
-    Composing with :func:`identity_encoding` returns the channel table
-    unchanged bit for bit.
+    Composing with the encoding that passes both raw inputs through
+    unchanged returns the channel table bit for bit.
     """
     if (e.na, e.nb) != (n.na, n.nb):
         raise ValueError(
@@ -173,11 +168,9 @@ def compose(n: Mac, e: Encoding) -> Mac:
     return Mac(e.n_a1, e.n_b1, n.nz, p.reshape(e.n_a1, e.n_b1, n.nz))
 
 
-def _entropy_raw(p: np.ndarray) -> float:
-    """Shannon entropy in bits of an array of probabilities; 0 log 0 = 0."""
-    flat = np.asarray(p, dtype=float).ravel()
-    nz = flat[flat > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+def _row_entropies(p: np.ndarray) -> np.ndarray:
+    """Entropies in bits along the last axis; zero cells contribute zero."""
+    return -(p * np.log2(p, where=p > 0.0, out=np.zeros_like(p))).sum(axis=-1)
 
 
 def entropy(p) -> float:
@@ -190,38 +183,61 @@ def entropy(p) -> float:
         raise ValueError("probabilities must be nonnegative, not nan")
     if abs(vec.sum() - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {vec.sum()!r}, not 1")
-    return _entropy_raw(vec)
+    return float(_row_entropies(vec.ravel()))
 
 
-def _joint(n: Mac, q: ProductInput) -> np.ndarray:
-    if len(q.p_a) != n.na or len(q.p_b) != n.nb:
-        raise ValueError(
-            f"input distribution sizes ({len(q.p_a)}, {len(q.p_b)}) do not "
-            f"match channel inputs ({n.na}, {n.nb})"
-        )
-    return q.p_a[:, None, None] * q.p_b[None, :, None] * n.p
+class _Workspace:
+    """Channel tables laid out for batched rate and optimizer work.
+
+    Index 0 is the first sender's view and index 1 the second's: ``flat[s]``
+    has one row per input of sender ``s``, over (other input, output) pairs,
+    and ``rowent[s][own, other]`` is the entropy of that channel row.
+    """
+
+    def __init__(self, n: Mac):
+        chan_t = np.ascontiguousarray(n.p.transpose(1, 0, 2))
+        rowent = _row_entropies(n.p)
+        self.nz = n.nz
+        self.flat = (n.p.reshape(n.na, -1), chan_t.reshape(n.nb, -1))
+        self.rowent = (rowent, np.ascontiguousarray(rowent.T))
+
+
+def _rates(ws: _Workspace, pa, pb):
+    """Each row's ``I(A;Z|B)``, ``I(B;Z|A)`` and ``I(A,B;Z)`` at ``(pa, pb)``.
+
+    One ``(rows, 3)`` array, from the channel layouts of ``ws``:
+    ``H(BZ) - H(B) - H(Z|AB)``, ``H(AZ) - H(A) - H(Z|AB)`` and
+    ``H(Z) - H(Z|AB)`` with ``H(Z|AB) = sum_ab pa[a] pb[b] H(N(.|a, b))``,
+    each clamped at 0.
+    """
+    n = len(pa)
+    h_cond = ((pa @ ws.rowent[0]) * pb).sum(axis=1)
+    joint_bz = np.repeat(pb, ws.nz, axis=1) * (pa @ ws.flat[0])
+    joint_az = np.repeat(pa, ws.nz, axis=1) * (pb @ ws.flat[1])
+    h_z = _row_entropies(joint_bz.reshape(n, -1, ws.nz).sum(axis=1))
+    rates = np.stack([
+        _row_entropies(joint_bz) - _row_entropies(pb) - h_cond,
+        _row_entropies(joint_az) - _row_entropies(pa) - h_cond,
+        h_z - h_cond,
+    ], axis=1)
+    return np.maximum(rates, 0.0)
 
 
 def pentagon(n: Mac, q: ProductInput) -> Pentagon:
     """Evaluate the three rate bounds of a MAC at a fixed product input.
 
-    Uses entropy expansions of the joint ``p(a, b, z)``:
-    ``I(A;Z|B) = H(AB) + H(BZ) - H(B) - H(ABZ)`` and similarly for the other
-    two quantities.  Values within floating-point noise below zero are
-    clamped to exactly 0.
+    ``I(A;Z|B) = H(BZ) - H(B) - H(Z|AB)``, ``I(B;Z|A) = H(AZ) - H(A) - H(Z|AB)``
+    and ``I(A,B;Z) = H(Z) - H(Z|AB)``, where
+    ``H(Z|AB) = sum_ab p_a[a] p_b[b] H(N(.|a, b))``; values within
+    floating-point noise below zero are clamped to exactly 0.  This is the
+    one-row case of :func:`_rates`.
     """
-    j = _joint(n, q)
-    h_abz = _entropy_raw(j)
-    h_ab = _entropy_raw(j.sum(axis=2))
-    h_az = _entropy_raw(j.sum(axis=1))
-    h_bz = _entropy_raw(j.sum(axis=0))
-    h_a = _entropy_raw(j.sum(axis=(1, 2)))
-    h_b = _entropy_raw(j.sum(axis=(0, 2)))
-    h_z = _entropy_raw(j.sum(axis=(0, 1)))
-    r1 = h_ab + h_bz - h_b - h_abz
-    r2 = h_ab + h_az - h_a - h_abz
-    rs = h_ab + h_z - h_abz
-    return Pentagon(max(r1, 0.0), max(r2, 0.0), max(rs, 0.0))
+    if len(q.p_a) != n.na or len(q.p_b) != n.nb:
+        raise ValueError(
+            f"input distribution sizes ({len(q.p_a)}, {len(q.p_b)}) do not "
+            f"match channel inputs ({n.na}, {n.nb})"
+        )
+    return Pentagon(*_rates(_Workspace(n), q.p_a[None], q.p_b[None])[0].tolist())
 
 
 def strategy_input(s: ProductStrategy) -> ProductInput:
@@ -240,17 +256,17 @@ def strategy_input(s: ProductStrategy) -> ProductInput:
 def sum_rate_identity_check(g: Game, s: ProductStrategy) -> tuple[float, float]:
     """Two routes to the sum-rate bound of a game MAC under one strategy.
 
-    Returns ``(lhs, rhs)`` where ``lhs = I(A,B;Z)`` is computed entropically
-    from the joint distribution on the compiled channel, while
+    Returns ``(lhs, rhs)`` where ``lhs = I(A,B;Z)`` is the :func:`pentagon`
+    sum rate on the compiled channel, while
     ``rhs = H(Z) - p_lose * (log2 nx1 + log2 nx2)`` uses the losing
     probability of the strategy.  The two agree identically because losing
     rounds contribute exactly the full output entropy.
     """
     n = mac_from_game(g)
     q = strategy_input(s)
-    j = _joint(n, q)
     lhs = pentagon(n, q).sum_max
-    h_z = _entropy_raw(j.sum(axis=(0, 1)))
+    p_z = q.p_b @ (q.p_a @ n.p.reshape(n.na, -1)).reshape(n.nb, n.nz)
+    h_z = float(_row_entropies(p_z))
     p_l = losing_probability(g, s)
     rhs = h_z - p_l * (np.log2(g.nx1) + np.log2(g.nx2))
     return lhs, rhs

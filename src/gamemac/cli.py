@@ -98,14 +98,18 @@ def _load_game_or_mac(arg: str) -> channel.Mac:
     return channel.mac_from_game(_load_game(arg))
 
 
-def _cmd_omega(args) -> int:
-    g = _load_game(args.game)
+def _brute_force(g: games.Game, args) -> games.BruteForceResult:
+    """Brute force on ``--threads`` workers, or GAMEMAC_THREADS; over budget exits 3."""
     try:
-        result = games.omega_uniform_bruteforce(
-            g, budget=args.budget, workers=args.threads
+        return games.omega_uniform_bruteforce(
+            g, budget=args.budget, workers=args.threads or _default_threads()
         )
     except games.EnumerationBudgetError as exc:
         raise _CliError(EXIT_BUDGET, str(exc)) from exc
+
+
+def _cmd_omega(args) -> int:
+    result = _brute_force(_load_game(args.game), args)
     val = result.value
     print(f"omega_U = {val.numerator}/{val.denominator} (= {float(val):.6f})")
     print("alice answers by question:", " ".join(str(y) for y in result.alice))
@@ -153,12 +157,7 @@ def _cmd_sumrate_bound(args) -> int:
     if args.omega is not None:
         omega = _parse_omega(args.omega)
     else:
-        try:
-            omega = games.omega_uniform_bruteforce(
-                g, budget=args.budget, workers=args.threads
-            ).value
-        except games.EnumerationBudgetError as exc:
-            raise _CliError(EXIT_BUDGET, str(exc)) from exc
+        omega = _brute_force(g, args).value
     if float(omega) == 1.0:
         raise _CliError(EXIT_DEGENERATE, "omega = 1: no nontrivial bound")
     result = capacity.sum_rate_upper_bound(g, omega)
@@ -208,15 +207,11 @@ def _cmd_lsg_rates(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, with ``--threads`` defaulting to the current GAMEMAC_THREADS."""
-    return _parser(_default_threads())
-
-
-@functools.lru_cache(maxsize=4)
-def _parser(threads: int) -> argparse.ArgumentParser:
-    # Built once per thread default: parse_args keeps no state on the parser,
-    # and building it costs more than most commands.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once: parse_args keeps no state on the parser, and building it
+    # costs more than most commands.  --threads has no default here, so
+    # GAMEMAC_THREADS is read when a command runs (see _brute_force).
     parser = argparse.ArgumentParser(
         prog="gamemac",
         description="Analyze multiple access channels built from two-player games.",
@@ -228,7 +223,7 @@ def _parser(threads: int) -> argparse.ArgumentParser:
     p.add_argument(
         "--budget", type=_positive_int, default=games.DEFAULT_ENUMERATION_BUDGET
     )
-    p.add_argument("--threads", type=_positive_int, default=threads)
+    p.add_argument("--threads", type=_positive_int)
     p.set_defaults(func=_cmd_omega)
 
     p = sub.add_parser("quantum-verify", help="check a built-in quantum strategy")
@@ -250,7 +245,7 @@ def _parser(threads: int) -> argparse.ArgumentParser:
     p.add_argument(
         "--budget", type=_positive_int, default=games.DEFAULT_ENUMERATION_BUDGET
     )
-    p.add_argument("--threads", type=_positive_int, default=threads)
+    p.add_argument("--threads", type=_positive_int)
     p.set_defaults(func=_cmd_sumrate_bound)
 
     p = sub.add_parser("region", help="inner bound on the capacity region")
@@ -275,7 +270,7 @@ def _parser(threads: int) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

@@ -570,8 +570,10 @@ class TestBatchedRates:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6))
     def test_rates_match_pentagon_row_by_row(self, seed, rows):
-        # inputs at zero mass in every row, and a last row of point masses,
-        # which on a winning pair reaches one output and leaves the rest at 0
+        # pentagon is _rates on one row, so a row of a batch must agree with
+        # the row alone; inputs at zero mass in every row, and a last row of
+        # point masses, which on a winning pair reaches one output and leaves
+        # the rest at 0
         rng = np.random.default_rng(seed)
         n = mac_from_game(random_game(rng, max_size=3))
         pa = rng.dirichlet(np.ones(n.na), size=rows)

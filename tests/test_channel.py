@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gamemac import (
     Encoding,
@@ -13,7 +14,6 @@ from gamemac import (
     compose,
     deterministic_strategy,
     entropy,
-    identity_encoding,
     identity_post,
     load_mac_file,
     losing_probability,
@@ -41,6 +41,41 @@ def all_lose_game(nx1=2, nx2=2, ny1=2, ny2=2) -> Game:
 
 def uniform_input(n: Mac) -> ProductInput:
     return ProductInput(np.full(n.na, 1.0 / n.na), np.full(n.nb, 1.0 / n.nb))
+
+
+def reference_pentagon(n: Mac, q: ProductInput) -> tuple[float, float, float]:
+    """``(r1_max, r2_max, sum_max)`` from seven entropies of the joint p(a, b, z).
+
+    ``I(A;Z|B) = H(AB) + H(BZ) - H(B) - H(ABZ)``, ``I(B;Z|A)`` likewise, and
+    ``I(A,B;Z) = H(AB) + H(Z) - H(ABZ)``, each clamped at 0: a second route
+    to the rates that shares no code with :func:`pentagon`.
+    """
+
+    def h(p):
+        p = p[p > 0.0]
+        return float(-(p * np.log2(p)).sum())
+
+    j = q.p_a[:, None, None] * q.p_b[None, :, None] * n.p
+    h_abz, h_ab, h_az, h_bz = h(j), h(j.sum(axis=2)), h(j.sum(axis=1)), h(j.sum(axis=0))
+    h_a, h_b, h_z = h(j.sum(axis=(1, 2))), h(j.sum(axis=(0, 2))), h(j.sum(axis=(0, 1)))
+    return (
+        max(h_ab + h_bz - h_b - h_abz, 0.0),
+        max(h_ab + h_az - h_a - h_abz, 0.0),
+        max(h_ab + h_z - h_abz, 0.0),
+    )
+
+
+def sparse_distributions(rng, rows, k) -> np.ndarray:
+    """Random distributions over ``k`` outcomes, many with zero-mass entries.
+
+    About a third of the rows are point masses.
+    """
+    p = rng.dirichlet(np.ones(k), size=rows)
+    p[rng.random(p.shape) < 0.4] = 0.0
+    p[np.arange(rows), rng.integers(0, k, rows)] += 0.5
+    point = rng.random(rows) < 0.3
+    p[point] = np.eye(k)[rng.integers(0, k, point.sum())]
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def uniform_strategy(g: Game) -> ProductStrategy:
@@ -108,7 +143,8 @@ class TestCompose:
     def test_identity_is_bit_exact(self, rng):
         g = random_game(rng)
         n = mac_from_game(g)
-        same = compose(n, identity_encoding(n.na, n.nb))
+        ident = np.eye(n.na * n.nb).reshape(n.na, n.nb, n.na, n.nb)
+        same = compose(n, Encoding(n.na, n.nb, n.na, n.nb, ident))
         assert (same.p == n.p).all()
 
     def test_magic_square_quantum_encoding_noiseless(self):
@@ -137,7 +173,7 @@ class TestCompose:
     def test_alphabet_mismatch_rejected(self):
         n = mac_from_game(all_win_game())
         with pytest.raises(ValueError):
-            compose(n, identity_encoding(3, 4))
+            compose(n, Encoding(3, 4, 3, 4, np.eye(12).reshape(3, 4, 3, 4)))
 
 
 class TestEntropy:
@@ -220,6 +256,19 @@ class TestPentagon:
         n = mac_from_game(all_win_game())
         with pytest.raises(ValueError):
             pentagon(n, ProductInput([0.5, 0.5], [0.5, 0.5]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_seven_entropy_reference(self, seed):
+        # channels up to 6 x 6 -> 6 whose rows are sparse or deterministic,
+        # at inputs with zero-mass entries or point masses
+        rng = np.random.default_rng(seed)
+        na, nb, nz = (int(k) for k in rng.integers(1, 7, size=3))
+        n = Mac(na, nb, nz, sparse_distributions(rng, na * nb, nz).reshape(na, nb, nz))
+        q = ProductInput(*(sparse_distributions(rng, 1, k)[0] for k in (na, nb)))
+        pent = pentagon(n, q)
+        got = [pent.r1_max, pent.r2_max, pent.sum_max]
+        assert np.abs(np.subtract(got, reference_pentagon(n, q))).max() <= 1e-12
 
 
 class TestSumRateIdentity:

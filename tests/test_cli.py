@@ -10,7 +10,7 @@ import pytest
 
 import gamemac
 from gamemac import cli, load_mac_file, mac_from_game, magic_square_game
-from gamemac.cli import _build_parser, main
+from gamemac.cli import main
 
 
 @pytest.fixture
@@ -21,6 +21,20 @@ def run(capsys):
         return code, out.out, out.err
 
     return invoke
+
+
+@pytest.fixture
+def workers_seen(monkeypatch):
+    """The worker counts the CLI passes to the brute-force search, call by call."""
+    seen = []
+    real = cli.games.omega_uniform_bruteforce
+
+    def spy(g, budget, workers):
+        seen.append(workers)
+        return real(g, budget=budget, workers=workers)
+
+    monkeypatch.setattr(cli.games, "omega_uniform_bruteforce", spy)
+    return seen
 
 
 def write_game(tmp_path, text, name="game.txt"):
@@ -324,7 +338,7 @@ class TestConsoleEntry:
         assert proc.returncode == 0, proc.stderr
         assert "omega_U = 3/4" in proc.stdout
 
-    def test_env_var_thread_default(self, monkeypatch):
+    def test_env_var_thread_default(self, run, monkeypatch, workers_seen):
         proc = subprocess.run(
             [sys.executable, "-m", "gamemac", "omega", "chsh"],
             capture_output=True,
@@ -337,7 +351,9 @@ class TestConsoleEntry:
         # A value other than the CPU count, so the fallback cannot pass for it.
         threads = (os.cpu_count() or 1) + 1
         monkeypatch.setenv("GAMEMAC_THREADS", str(threads))
-        assert _build_parser().parse_args(["omega", "chsh"]).threads == threads
+        code, out, _ = run("omega", "chsh")
+        assert code == 0 and "omega_U = 3/4" in out
+        assert workers_seen == [threads]
 
 
 class TestParserReuse:
@@ -350,17 +366,16 @@ class TestParserReuse:
         assert code == 0 and err == ""
         assert out == "1.000000000 1.000000000 1.000000000\n" * 3
 
-    def test_thread_default_is_read_on_every_call(self, run, monkeypatch):
-        seen = []
-        real = cli.games.omega_uniform_bruteforce
-
-        def spy(g, budget, workers):
-            seen.append(workers)
-            return real(g, budget=budget, workers=workers)
-
-        monkeypatch.setattr(cli.games, "omega_uniform_bruteforce", spy)
+    def test_thread_default_is_read_on_every_call(self, run, monkeypatch, workers_seen):
         for threads in (3, 5, 3):
             monkeypatch.setenv("GAMEMAC_THREADS", str(threads))
             code, out, _ = run("omega", "chsh")
             assert code == 0 and "omega_U = 3/4" in out
-        assert seen == [3, 5, 3]
+        assert workers_seen == [3, 5, 3]
+
+    def test_threads_flag_overrides_env(self, run, monkeypatch, workers_seen):
+        monkeypatch.setenv("GAMEMAC_THREADS", "3")
+        for argv in (("omega", "chsh"), ("sumrate-bound", "chsh")):
+            code, _, _ = run(*argv, "--threads", "2")
+            assert code == 0
+        assert workers_seen == [2, 2]
