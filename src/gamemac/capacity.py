@@ -12,8 +12,11 @@ Three families of results live here:
   bisection solves to ``1e-12`` relative;
 * a randomized inner bound on the capacity region, tracing the boundary by
   maximizing weighted pentagon vertices over product input distributions
-  with alternating Blahut–Arimoto block updates stopped on a Frank–Wolfe gap,
-  shortened by a SQUAREM extrapolation after every second sweep that is
+  with alternating Blahut–Arimoto block updates stopped on a Frank–Wolfe gap:
+  20 updates a block solve it nearly exactly in the first two sweeps, which
+  decide the optimum a restart climbs, and every later sweep takes 5, an
+  inexact block step that still never lowers the objective; the alternation
+  is shortened by a SQUAREM extrapolation after every second sweep that is
   kept only where it stays feasible and raises the objective;
 * closed-form achievable rates for channels built from linear-system games
   (the games themselves are built in :mod:`gamemac.games`).
@@ -39,9 +42,15 @@ from .games import Game
 
 _INV_LN2 = 1.0 / math.log(2.0)
 
-# Optimizer schedule: _BA_STEPS Blahut–Arimoto updates per block and sweep until
-# both block gaps are at most _GAP_TOL, or _MAX_SWEEPS sweeps; see _ascend_block.
+# Optimizer schedule: the first _EXACT_SWEEPS sweeps give each block _BA_STEPS
+# Blahut–Arimoto updates, which solve it nearly exactly; these sweeps decide
+# which local optimum a restart climbs.  Every later sweep gives each block
+# _LATE_BA_STEPS updates, an inexact block step that still never lowers the
+# objective.  Sweeps run until both block gaps are at most _GAP_TOL, or
+# _MAX_SWEEPS sweeps; see _ascend_block and _alternate.
 _BA_STEPS = 20
+_EXACT_SWEEPS = 2
+_LATE_BA_STEPS = 5
 _GAP_TOL = 1e-5
 _MAX_SWEEPS = 2000
 _REVIVE = 1e-8
@@ -440,7 +449,7 @@ class _BlockContext:
         return out
 
 
-def _ascend_block(pa, ctx: _BlockContext, hold):
+def _ascend_block(pa, ctx: _BlockContext, hold, steps: int):
     """Batched Blahut–Arimoto ascent over one sender's distributions.
 
     With the other sender frozen the objective is
@@ -453,19 +462,25 @@ def _ascend_block(pa, ctx: _BlockContext, hold):
     A row's Frank–Wolfe gap ``max_a grad_a - p . grad`` at the incoming
     ``pa`` bounds what its block can still gain.  Rows in the boolean array
     ``hold`` with a gap within ``_GAP_TOL`` stay put; the others take
-    ``_BA_STEPS`` updates.  BA multiplies, so a zero never returns: a row
-    whose best input has mass below ``_REVIVE`` first takes a Frank–Wolfe
-    step of that length toward it, too short to lower the objective.  A held
-    row whose gap reads within ``_GAP_TOL`` but that has a
-    :meth:`_BlockContext.blind` input is open (gap ``inf``), and that input
-    counts as its best; a row is certified only while held, so this check
-    stays off the rows that take BA steps anyway.
+    ``steps`` updates: :func:`_alternate` asks for ``_BA_STEPS`` in its first
+    ``_EXACT_SWEEPS`` sweeps and ``_LATE_BA_STEPS`` after them.  BA
+    multiplies, so a zero never returns: a row whose best input has mass
+    below ``_REVIVE`` first takes a Frank–Wolfe step of that length toward
+    it, too short to lower the objective.  A held row whose gap reads within
+    ``_GAP_TOL`` but that has a :meth:`_BlockContext.blind` input is open
+    (gap ``inf``), and that input counts as its best; a row is certified
+    only while held, so this check stays off the rows that take BA steps
+    anyway.
 
-    The block weight is floored at ``_WEIGHT_FLOOR`` once per block, so the
-    exponent stays finite: ``grad - max grad`` is at most about 2 * 1074 bits
-    per unit weight plus the bounded linear term.  A row whose weight is
-    below the floor still underflows to mass 0 off its best inputs, the
-    weight -> 0 limit, which is the linear block's vertex jump.
+    The updates run on the whole batch.  A row that takes no BA step divides
+    its exponent by ``inf``, so it cannot overflow or lose all its mass, and
+    only the rows that take BA steps are written back: a held row returns
+    bit for bit as its gap was measured.  When no row takes a BA step the
+    loop is skipped.  The block weight is floored at ``_WEIGHT_FLOOR`` once
+    per block, so the exponent stays finite: ``grad - max grad`` is at most
+    about 2 * 1074 bits per unit weight plus the bounded linear term.  A row
+    whose weight is below the floor still underflows to mass 0 off its best
+    inputs, the weight -> 0 limit, which is the linear block's vertex jump.
 
     Deterministic for a fixed batch (BLAS may round a row differently in
     another batch shape).  Returns the updated rows and the gaps of the
@@ -480,24 +495,27 @@ def _ascend_block(pa, ctx: _BlockContext, hold):
         hit = blind.any(axis=1)
         gap[low[hit]] = np.inf
         best[low[hit]] = blind[hit].argmax(axis=1)
-    weight = np.broadcast_to(ctx.coeffs[0] + ctx.coeffs[1], len(pa))
+    weight = ctx.coeffs[0] + ctx.coeffs[1]  # one per row, or one for all rows
     move = (gap > _GAP_TOL) | ~hold
-    starved = pa[np.arange(len(pa)), best] < _REVIVE
-    fw_step = (move * np.where(weight == 0.0, 1.0, _REVIVE * starved))[:, None]
-    pa = (1.0 - fw_step) * pa + fw_step * np.eye(pa.shape[1])[best]
-    rows = np.nonzero(move & (weight != 0.0))[0]
-    p, g = pa[rows], grad[rows]
-    div = np.maximum(weight[rows], _WEIGHT_FLOOR)[:, None]
-    sub = ctx.restrict(rows) if len(rows) < len(pa) else ctx
+    at = np.arange(len(pa)), best
+    starved = pa[at] < _REVIVE
+    fw_step = move * np.where(weight == 0.0, 1.0, _REVIVE * starved)
+    pa = pa * (1.0 - fw_step)[:, None]
+    pa[at] += fw_step
+    ba = move & (weight != 0.0)
+    if not ba.any():
+        return pa, gap
+    div = np.where(ba, np.maximum(weight, _WEIGHT_FLOOR), np.inf)[:, None]
+    p, g = pa.copy(), grad
     e, s = np.empty_like(p), np.empty_like(div)
-    for step in range(_BA_STEPS):
-        if step or starved[rows].any():
-            g = sub.gradient(p)
+    for step in range(steps):
+        if step or (starved & ba).any():
+            g = ctx.gradient(p)
         np.subtract(g, g.max(axis=1, keepdims=True, out=s), out=e)
         np.divide(e, div, out=e)
         np.multiply(p, np.exp2(e, out=e), out=p)
         np.divide(p, p.sum(axis=1, keepdims=True, out=s), out=p)
-    pa[rows] = p
+    pa[ba] = p[ba]
     return pa, gap
 
 
@@ -550,8 +568,13 @@ def _squarem(x0, x1, pa, pb, ws: _Workspace, coeffs, before):
 def _alternate(pa, pb, ws: _Workspace, coeffs):
     """Alternating block ascent over the two input distributions.
 
-    Each sweep ascends the first sender's block, then the second's.  A block
-    is held only when its gap and the other block's last gap are both within
+    Each sweep ascends the first sender's block, then the second's, with
+    ``_BA_STEPS`` Blahut–Arimoto updates a block in the first
+    ``_EXACT_SWEEPS`` sweeps and ``_LATE_BA_STEPS`` in every later one.  The
+    nearly exact early solves decide which local optimum a row climbs; after
+    them an exact solve is wasted work, since the other block moves at once,
+    and a short block step still never lowers the objective.  A block is
+    held only when its gap and the other block's last gap are both within
     ``_GAP_TOL`` (holding it sooner can strand mass that keeps the other
     block creeping); a row stops in the first sweep that holds both, so its
     two gaps are measured at the returned ``(pa, pb)``.
@@ -574,9 +597,11 @@ def _alternate(pa, pb, ws: _Workspace, coeffs):
             x0 = np.hstack([pa, pb])
         c = [x[idx] for x in coeffs]
         hold = gap_b[idx] <= _GAP_TOL
-        pa[idx], gap_a = _ascend_block(pa[idx], _BlockContext(pb[idx], ws, c), hold)
+        steps = _BA_STEPS if sweep < _EXACT_SWEEPS else _LATE_BA_STEPS
+        ctx_a = _BlockContext(pb[idx], ws, c)
+        pa[idx], gap_a = _ascend_block(pa[idx], ctx_a, hold, steps)
         ctx_b = _BlockContext(pa[idx], ws, c, transposed=True)
-        pb[idx], gap_b[idx] = _ascend_block(pb[idx], ctx_b, gap_a <= _GAP_TOL)
+        pb[idx], gap_b[idx] = _ascend_block(pb[idx], ctx_b, gap_a <= _GAP_TOL, steps)
         both = np.maximum(gap_a, gap_b[idx])
         gap[idx] = np.where(hold & (both <= _GAP_TOL), both, np.inf)
         if sweep % 2 == 0:

@@ -42,6 +42,7 @@ from gamemac.channel import ProductInput
 from conftest import random_game
 
 LOG9 = math.log2(9)
+STEPS = capacity._BA_STEPS
 
 
 def all_win_game(nx1=2, nx2=2, ny1=1, ny2=1):
@@ -236,10 +237,31 @@ class TestOptimizerInternals:
         ctx, p = _block(seed, mu, transposed)
         rows = np.arange(len(p))
         before = ctx.restrict(rows).objective(p)
-        with mock.patch.object(capacity, "_BA_STEPS", 1):
-            p, _ = _ascend_block(p.copy(), ctx, np.zeros(len(p), dtype=bool))
+        p, _ = _ascend_block(p.copy(), ctx, np.zeros(len(p), dtype=bool), steps=1)
         assert np.allclose(p.sum(axis=1), 1.0) and (p >= 0.0).all()
         assert (ctx.restrict(rows).objective(p) >= before - 1e-12).all()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mu=st.floats(0.0, 1.0),
+        transposed=st.booleans(),
+        hold=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    def test_held_rows_come_back_bit_identical(self, seed, mu, transposed, hold):
+        # the BA loop runs on the whole batch, but a held row within _GAP_TOL
+        # is not written back: it returns bit for bit as its gap was measured;
+        # the rows that move match the same rows moved in a batch of their own
+        ctx, p = _block(seed, mu, transposed, rows=6)
+        # near-exact solves of four rows put some gaps within _GAP_TOL
+        p[:4] = _ascend_block(p, ctx, np.zeros(len(p), dtype=bool), steps=500)[0][:4]
+        hold = np.array(hold)
+        out, gap = _ascend_block(p.copy(), ctx, hold, STEPS)
+        kept = hold & (gap <= capacity._GAP_TOL)
+        assert (out[kept] == p[kept]).all()
+        moved = np.nonzero(~kept)[0]
+        alone, _ = _ascend_block(p[moved], ctx.restrict(moved), hold[moved], STEPS)
+        assert np.abs(alone - out[moved]).max(initial=0.0) <= 1e-12
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), transposed=st.booleans())
@@ -251,7 +273,7 @@ class TestOptimizerInternals:
         assert ctx.coeffs[0] + ctx.coeffs[1] == 0.0
         sub = ctx.restrict(np.arange(len(p)))
         before = sub.objective(p)
-        p, gap = _ascend_block(p.copy(), ctx, np.zeros(len(p), dtype=bool))
+        p, gap = _ascend_block(p.copy(), ctx, np.zeros(len(p), dtype=bool), STEPS)
         assert ((p == 0.0) | (p == 1.0)).all() and (p.sum(axis=1) == 1.0).all()
         f = sub.objective(p)
         assert np.abs(f - before - gap).max() <= 1e-12
@@ -269,7 +291,7 @@ class TestOptimizerInternals:
             before = sub.objective(p)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                p, _ = _ascend_block(p.copy(), ctx, np.zeros(len(p), dtype=bool))
+                p, _ = _ascend_block(p.copy(), ctx, np.zeros(len(p), dtype=bool), STEPS)
             assert (p >= 0.0).all() and np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
             assert (sub.objective(p) >= before - 1e-12).all()
 
@@ -415,7 +437,7 @@ class TestGapCertificate:
         coeffs = _vertex_coeffs(np.array([mu]))
         pa, pb = np.array([[0.0, 1.0]]), np.array([[0.5, 0.5]])
         ctx = _BlockContext(pb, ws, coeffs)
-        moved, gap_a = _ascend_block(pa.copy(), ctx, np.ones(1, dtype=bool))
+        moved, gap_a = _ascend_block(pa.copy(), ctx, np.ones(1, dtype=bool), STEPS)
         assert gap_a[0] == np.inf and moved[0, 0] > 0.0  # open even when held
         pa, pb, gap = _alternate(pa, pb, ws, coeffs)
         objective = _BlockContext(pb, ws, coeffs).objective(pa)
@@ -550,6 +572,37 @@ class TestBatchedSolve:
         region = inner_bound(mac_from_game(chsh_game()), restarts=4, seed=1,
                              mu_points=9)
         assert all(w.converged for w in region.witnesses)
+
+    def test_exact_block_solves_only_in_the_first_two_sweeps(self):
+        # sweeps 0 and 1 give each block 20 BA steps, every later sweep 5
+        n = mac_from_game(magic_square_game())
+        rng = np.random.default_rng(0)
+        pa = rng.dirichlet(np.ones(n.na), size=10)
+        pb = rng.dirichlet(np.ones(n.nb), size=10)
+        ascend, steps = capacity._ascend_block, []
+
+        def spy(pa, ctx, hold, count):
+            steps.append(count)
+            return ascend(pa, ctx, hold, count)
+
+        with mock.patch.object(capacity, "_ascend_block", spy):
+            _alternate(pa, pb, _Workspace(n), _vertex_coeffs(np.linspace(0.0, 1.0, 10)))
+        assert len(steps) > 4
+        assert steps == [20] * 4 + [5] * (len(steps) - 4)
+
+    def test_magic_region_converges_and_restarts_agree(self):
+        # the benchmark's region: every witness certified, and at least 88 % of
+        # the (weight, restart) solves within 1e-6 of their weight's best
+        region = inner_bound(
+            mac_from_game(magic_square_game()), restarts=16, mu_points=17, seed=0
+        )
+        assert all(w.converged for w in region.witnesses)
+        mus = np.linspace(0.0, 1.0, 17)
+        value = np.full((17, 16), -np.inf)
+        for w in region.witnesses:
+            v = mus[w.mu_index] * w.r1 + (1.0 - mus[w.mu_index]) * w.r2
+            value[w.mu_index, w.restart] = max(value[w.mu_index, w.restart], v)
+        assert (value >= value.max(axis=1, keepdims=True) - 1e-6).mean() >= 0.88
 
     def test_iteration_caps_are_reported(self):
         # certifying a row takes a sweep that holds both blocks, which the
