@@ -132,7 +132,7 @@ def solve_eps_star(delta: float, omega_u: float) -> EpsStarResult:
     w = float(omega_u)
     if not 0.0 < w < 1.0:
         raise ValueError(f"omega must lie strictly between 0 and 1, got {w!r}")
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise ValueError(f"delta must be nonnegative, got {delta!r}")
     y = 1.0 - w
 
@@ -618,93 +618,57 @@ def _alternate(pa, pb, ws: _Workspace, coeffs):
     return pa, pb, gap
 
 
-def _dirichlet_inits(seed: int, tag: int, restarts: int, na: int, nb: int):
-    """Flat-Dirichlet starting points, one generator per (seed, tag, restart).
-
-    Seeding each restart separately keeps every row's start the same no
-    matter how restarts are batched.
-    """
-    pa = np.empty((restarts, na))
-    pb = np.empty((restarts, nb))
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, tag, r])
-        pa[r] = rng.dirichlet(np.ones(na))
-        pb[r] = rng.dirichlet(np.ones(nb))
-    return pa, pb
-
-
 def _solve(n: Mac, mus: Sequence[float], seed: int, restarts: int):
     """Optimize every (weight, restart) row in one batch.
 
-    Row ``tag * restarts + r`` starts from the ``(seed, tag, r)`` Dirichlet
-    draw and maximizes the weight ``mus[tag]``.  Returns, row by row in that
-    order, the senders' inputs ``pa`` and ``pb``, the pentagon rates from
-    :func:`_rates` (one array pass for the whole batch) and the optimizer's
-    final gaps.
+    Row ``tag * restarts + r`` maximizes the weight ``mus[tag]``.  Each
+    weight draws all its starts from one generator seeded ``[seed, tag]``:
+    row ``r`` takes the ``r``-th row of unit exponentials, whose ``pa`` and
+    ``pb`` blocks are normalized, which is exactly a flat-Dirichlet draw for
+    each sender.  Rows fill in C order, so row ``r``'s start is the same for
+    every ``restarts > r`` and every weight count.  Returns, row by row in
+    that order, the senders' inputs ``pa`` and ``pb``, the pentagon rates
+    from :func:`_rates` (one array pass for the whole batch) and the
+    optimizer's final gaps.
     """
-    inits = [
-        _dirichlet_inits(seed, tag, restarts, n.na, n.nb) for tag in range(len(mus))
-    ]
-    pa = np.concatenate([a for a, _ in inits])
-    pb = np.concatenate([b for _, b in inits])
+    x = np.concatenate([
+        np.random.default_rng([seed, tag]).standard_exponential((restarts, n.na + n.nb))
+        for tag in range(len(mus))
+    ])
+    pa, pb = x[:, : n.na], x[:, n.na :]
+    pa, pb = pa / pa.sum(axis=1, keepdims=True), pb / pb.sum(axis=1, keepdims=True)
     coeffs = _vertex_coeffs(np.repeat(np.asarray(mus, dtype=float), restarts))
     ws = _Workspace(n)
     pa, pb, gap = _alternate(pa, pb, ws, coeffs)
     return pa, pb, _rates(ws, pa, pb), gap
 
 
-def _corner_points(pent: Pentagon) -> tuple[tuple[float, float], tuple[float, float]]:
-    d1 = (pent.r1_max, max(pent.sum_max - pent.r1_max, 0.0))
-    d2 = (max(pent.sum_max - pent.r2_max, 0.0), pent.r2_max)
-    return d1, d2
-
-
-def _convex_hull(points: Sequence[tuple[float, float]]):
-    """Monotone-chain convex hull, counterclockwise.
-
-    Points that agree to 9 decimals are merged onto the smallest of them and
-    near-collinear vertices dropped, so restarts that converged to the same
-    optimum up to float noise yield one hull vertex, and every vertex is one
-    of the given points.
-    """
-    merged = {}
-    for x, y in sorted(points):
-        merged.setdefault((round(x, 9), round(y, 9)), (x, y))
-    pts = list(merged.values())
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 1e-12:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 1e-12:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
 def _boundary_chain(points: Sequence[tuple[float, float]]):
     """Upper-right hull boundary from the R1 axis around to the R2 axis.
 
-    Axis projections of every point are included: whatever is achievable
-    jointly is achievable with either sender silenced.
+    The axis ends ``(max R1, 0)`` and ``(0, max R2)`` join the points:
+    whatever is achievable jointly is achievable with either sender
+    silenced.  Points that agree to 9 decimals are merged onto the smallest
+    of them, so restarts that converged to the same optimum up to float
+    noise yield one vertex.  One pass of Andrew's monotone chain, over the
+    points by R1 descending and then R2 ascending, keeps the left turns and
+    drops near-collinear vertices; every vertex is one of the points or an
+    axis end.
     """
-    aug = {(0.0, 0.0)}
-    for r1, r2 in points:
-        aug.add((r1, r2))
-        aug.add((r1, 0.0))
-        aug.add((0.0, r2))
-    hull = _convex_hull(list(aug))
-    i = max(range(len(hull)), key=lambda k: (hull[k][0], -hull[k][1]))
-    j = max(range(len(hull)), key=lambda k: (hull[k][1], -hull[k][0]))
-    return (hull[i:] + hull[:i])[: (j - i) % len(hull) + 1]
+    pts = list(points)
+    pts += [(max(p[0] for p in pts), 0.0), (0.0, max(p[1] for p in pts))]
+    merged = {}
+    for x, y in sorted(pts):
+        merged.setdefault((round(x, 9), round(y, 9)), (x, y))
+    chain = []
+    for x, y in sorted(merged.values(), key=lambda p: (-p[0], p[1])):
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 1e-12:
+                break
+            chain.pop()
+        chain.append((x, y))
+    return chain
 
 
 def inner_bound(
@@ -719,12 +683,14 @@ def inner_bound(
     For each weight ``mu`` on a uniform grid in ``[0, 1]`` the optimizer
     maximizes ``mu R1 + (1 - mu) R2`` at the dominant pentagon corner over
     product input distributions, using alternating Blahut–Arimoto block
-    updates from ``restarts`` flat-Dirichlet initializations; all
-    ``mu_points * restarts`` runs are solved as one batch.  Each witness
-    carries its run's Frank–Wolfe gap (see :class:`InnerPoint`).  Every
-    evaluated corner is achievable, so the convex hull of the collected rate
-    pairs (closed under silencing either sender) is a certified inner bound
-    regardless of optimizer quality.
+    updates from ``restarts`` flat-Dirichlet starts, drawn for each weight
+    from one generator (see :func:`_solve`); all ``mu_points * restarts``
+    runs are solved as one batch.  Each witness carries its run's
+    Frank–Wolfe gap (see :class:`InnerPoint`).  Every evaluated corner is
+    achievable, so the convex hull of the collected rate pairs (closed under
+    silencing either sender) is a certified inner bound regardless of
+    optimizer quality; its upper-right chain, from the R1 axis to the R2
+    axis, is traced by :func:`_boundary_chain`.
 
     Deterministic for a fixed seed, ``restarts`` and ``mu_points``; results
     are merged in (weight, restart) order.
@@ -732,7 +698,7 @@ def inner_bound(
     Args:
         n: The channel.
         restarts: Random initializations per weight (>= 1).
-        seed: Base seed for the per-restart generators.
+        seed: Base seed for the per-weight generators.
         workers: Ignored: the batch runs in the calling process.  Accepted
             so that existing callers keep working.
         mu_points: Number of weights on the scalarization grid (>= 1).
@@ -746,9 +712,14 @@ def inner_bound(
     for row, (rate, gap) in enumerate(zip(rates.tolist(), gaps.tolist())):
         tag, r = divmod(row, restarts)
         q = ProductInput(pa[row], pb[row])
-        d1, d2 = _corner_points(Pentagon(*rate))
-        witnesses.append(InnerPoint(d1[0], d1[1], q, "r1-priority", tag, r, gap))
-        witnesses.append(InnerPoint(d2[0], d2[1], q, "r2-priority", tag, r, gap))
+        pent = Pentagon(*rate)
+        r1, r2 = pent.r1_max, pent.r2_max
+        witnesses.append(
+            InnerPoint(r1, max(pent.sum_max - r1, 0.0), q, "r1-priority", tag, r, gap)
+        )
+        witnesses.append(
+            InnerPoint(max(pent.sum_max - r2, 0.0), r2, q, "r2-priority", tag, r, gap)
+        )
     chain = _boundary_chain([(w.r1, w.r2) for w in witnesses])
     return RegionBound(tuple(chain), tuple(witnesses))
 

@@ -437,6 +437,8 @@ def linear_system_game(a_matrix, b_vector) -> Game:
     if a.ndim != 2:
         raise ValueError("coefficient matrix must be two-dimensional")
     m, n = a.shape
+    if m == 0:
+        raise ValueError("system needs at least one equation")
     if b.shape != (m,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({m},)")
     supports = []

@@ -141,6 +141,8 @@ class TestSolveEpsStar:
             solve_eps_star(-0.01, 0.9)
         with pytest.raises(ValueError):
             solve_eps_star(0.01, 1.0)
+        with pytest.raises(ValueError, match="delta"):
+            solve_eps_star(float("nan"), 0.5)
 
 
 class TestSumRateUpperBound:
@@ -642,6 +644,79 @@ class TestBatchedRates:
             pent = pentagon(n, ProductInput(pa[r], pb[r]))
             expect = [pent.r1_max, pent.r2_max, pent.sum_max]
             assert np.abs(rates[r] - expect).max() <= 1e-12
+
+
+_COORD = st.floats(0.0, 4.0)
+_JITTER = st.floats(-1e-10, 1e-10)
+
+
+@st.composite
+def corner_sets(draw):
+    """Rate pairs like a region's corners: near-duplicates within 1e-10, a
+    collinear run, and points on both axes."""
+    pts = draw(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=10))
+    pts += [(x, 0.0) for x in draw(st.lists(_COORD, max_size=3))]
+    pts += [(0.0, y) for y in draw(st.lists(_COORD, max_size=3))]
+    (ax, ay), (bx, by) = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+    run = draw(st.lists(st.floats(0.0, 1.0), max_size=5))
+    pts += [(ax + t * (bx - ax), ay + t * (by - ay)) for t in run]
+    for x, y in draw(st.lists(st.sampled_from(pts), max_size=5)):
+        dx, dy = draw(_JITTER), draw(_JITTER)
+        pts.append((max(x + dx, 0.0), max(y + dy, 0.0)))
+    return pts
+
+
+class TestBoundaryChain:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(points=corner_sets())
+    @example(points=[(0.0, 0.0)] * 3)
+    def test_chain_is_the_upper_right_hull(self, points):
+        chain = capacity._boundary_chain(points)
+        # from the R1 axis to the R2 axis, up to the 9-decimal merge
+        assert chain[0][1] < 1e-9 and chain[-1][0] < 1e-9
+        for (r1a, r2a), (r1b, r2b) in zip(chain, chain[1:]):
+            assert r1b <= r1a and r2b >= r2a
+        ends = [(max(x for x, _ in points), 0.0), (0.0, max(y for _, y in points))]
+        for v in chain:
+            assert v in points or v in ends
+            assert any(v[0] <= x and v[1] <= y for x, y in points)
+        # same support function as the points in every nonnegative direction
+        theta = np.linspace(0.0, np.pi / 2.0, 91)
+        d = np.stack([np.cos(theta), np.sin(theta)])
+        support = (np.array(chain) @ d).max(axis=0)
+        assert np.abs(support - (np.array(points) @ d).max(axis=0)).max() <= 1e-9
+        assert len({(round(x, 9), round(y, 9)) for x, y in chain}) == len(chain)
+
+
+class TestStarts:
+    @staticmethod
+    def starts(restarts, mu_points):
+        """The ``[weight, restart]`` starts that reach the optimizer."""
+        seen = []
+
+        def spy(pa, pb, ws, coeffs):
+            seen.append((pa.copy(), pb.copy()))
+            return pa, pb, np.zeros(len(pa))  # skip the optimizer
+
+        n = mac_from_game(magic_square_game())
+        with mock.patch.object(capacity, "_alternate", spy):
+            inner_bound(n, restarts=restarts, seed=5, mu_points=mu_points)
+        ((pa, pb),) = seen
+        return pa.reshape(mu_points, restarts, -1), pb.reshape(mu_points, restarts, -1)
+
+    def test_fewer_restarts_are_a_prefix(self):
+        for few, many in zip(self.starts(8, 5), self.starts(16, 5)):
+            assert np.array_equal(few, many[:, :8])
+
+    def test_weight_index_keeps_its_starts(self):
+        for coarse, fine in zip(self.starts(4, 5), self.starts(4, 9)):
+            assert np.array_equal(coarse, fine[:5])
+            assert not np.array_equal(fine[0], fine[1])
+
+    def test_starts_are_positive_distributions(self):
+        for p in self.starts(16, 9):
+            assert (p > 0.0).all()
+            assert np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-12
 
 
 class TestInnerBound:

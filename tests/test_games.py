@@ -357,6 +357,10 @@ class TestLinearSystemGame:
         with pytest.raises(ValueError):
             linear_system_game([[0, 0], [1, 1]], [0, 0])
 
+    def test_empty_system_rejected(self):
+        with pytest.raises(ValueError, match="at least one equation"):
+            linear_system_game(np.zeros((0, 3), int), [])
+
     def test_padded_answers_always_lose_on_promise(self):
         # rows of different support sizes force padding on the narrow row
         a = [[1, 1, 1], [1, 1, 0]]
