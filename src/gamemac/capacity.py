@@ -28,7 +28,6 @@ is deterministic for a fixed seed and fixed restart and weight counts.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 from typing import NamedTuple, Sequence
@@ -285,10 +284,9 @@ def _vertex_coeffs(mu):
 
     The objective ``mu * R1 + (1 - mu) * R2`` at the dominant pentagon corner
     expands into ``alpha H(Z) + beta H(Z|B) + gamma H(Z|A) - kappa H(Z|AB)``.
-    ``mu`` may be a scalar or an array of weights, one per batch row; each
-    coefficient then has the shape of ``mu``.
+    ``mu`` is an array of weights, one per batch row, and so is each
+    coefficient.
     """
-    mu = np.asarray(mu, dtype=float)
     high = mu >= 0.5
     return (
         np.where(high, 1.0 - mu, mu),
@@ -301,13 +299,10 @@ def _vertex_coeffs(mu):
 def _span(coeff):
     """The batch rows from the first to the last nonzero ``coeff``, as a slice.
 
-    ``coeff`` has one row per batch row, or a single row for every batch
-    row (the slice is then all of them); ``None`` if it is zero everywhere.
+    ``coeff`` holds one value per batch row; ``None`` if it is zero everywhere.
     """
     if not coeff.any():
         return None
-    if len(coeff) == 1:
-        return slice(None)
     on = np.flatnonzero(coeff)
     return slice(on[0], on[-1] + 1)
 
@@ -321,10 +316,10 @@ class _BlockContext:
     only small per-candidate work inside the ascent loop.  ``transposed``
     selects the second sender's block (``pb`` is then the first sender's
     batch, and the coefficients of ``H(Z|B)`` and ``H(Z|A)`` trade places).
-    Each coefficient is a scalar or one value per row; the entropies of
-    ``cond_a`` are taken only on the rows that weigh them, and
-    :meth:`objective` skips a term only when its coefficient is zero on
-    every row.
+    ``coeffs`` holds four arrays from :func:`_vertex_coeffs`, each with one
+    value per batch row; the entropies of ``cond_a`` are taken only on the
+    rows that weigh them, and :meth:`objective` skips a term only when its
+    coefficient is zero on every row.
     """
 
     def __init__(self, pb, ws: _Workspace, coeffs, transposed=False):
@@ -333,27 +328,17 @@ class _BlockContext:
             coeffs = (coeffs[0], coeffs[2], coeffs[1], coeffs[3])
         self.chan_flat = ws.flat[side]
         na, self.nb, self.nz = len(self.chan_flat), pb.shape[1], ws.nz
-        _, _, gamma, kappa = (np.asarray(c, dtype=float)[..., None] for c in coeffs)
-        cond_a = (pb @ ws.flat[1 - side]).reshape(len(pb), na, self.nz)
-        lin = kappa * (pb @ ws.rowent[side].T)  # noise-floor term, linear in pa
-        rows = _span(gamma)
-        if rows is not None:
-            lin[rows] -= gamma[rows] * _row_entropies(cond_a[rows])
-        self._set_rows(pb, cond_a, lin, coeffs)
-
-    def _set_rows(self, pb, cond_a, lin, coeffs):
-        self.pb, self.cond_a, self.lin, self.coeffs = pb, cond_a, lin, coeffs
-        alpha, beta = (np.asarray(c, dtype=float) for c in coeffs[:2])
+        alpha, beta, gamma, kappa = coeffs
+        self.pb, self.coeffs = pb, coeffs
         self.alpha = alpha if alpha.any() else None
         self.beta = beta if beta.any() else None
+        self.cond_a = (pb @ ws.flat[1 - side]).reshape(len(pb), na, self.nz)
+        # the noise-floor term, linear in pa
+        self.lin = kappa[:, None] * (pb @ ws.rowent[side].T)
+        rows = _span(gamma)
+        if rows is not None:
+            self.lin[rows] -= gamma[rows, None] * _row_entropies(self.cond_a[rows])
         self._scratch = None  # gradient terms and buffers, made on first use
-
-    def restrict(self, rows):
-        """The same block for the rows ``rows`` of this batch only."""
-        sub = copy.copy(self)
-        coeffs = tuple(c[rows] if np.ndim(c) else c for c in self.coeffs)
-        sub._set_rows(self.pb[rows], self.cond_a[rows], self.lin[rows], coeffs)
-        return sub
 
     def objective(self, pa):
         """Objective values for candidate rows ``pa``, one per batch row."""
@@ -382,14 +367,13 @@ class _BlockContext:
         def term(coeff, data, width):
             if coeff is None:
                 return None
-            coeff = coeff[..., None]
             rows = _span(coeff)
-            coeff, data = coeff[rows], data[rows]
+            coeff, data = coeff[rows, None], data[rows]
             k = len(data)  # the product (its log2 in place), mask, back
             bufs = np.empty((k, width)), np.empty((k, width), dtype=bool)
             return (rows, coeff, data) + bufs + (np.empty((k, na)),)
 
-        weight = np.asarray(self.coeffs[0] + self.coeffs[1], dtype=float)[..., None]
+        weight = (self.coeffs[0] + self.coeffs[1])[:, None]
         # pb[b] over the (b, z) columns of the channel, for the beta term
         pb = None if self.beta is None else np.repeat(self.pb, self.nz, axis=1)
         return (
@@ -406,8 +390,8 @@ class _BlockContext:
         computed on the rows that weigh it, in scratch arrays this context
         owns, onto a per-context constant that holds the linear term and every
         entropy's ``1 / ln 2``.  The returned array is one of them.
-        :meth:`objective`, :meth:`blind` and :meth:`restrict` leave it alone,
-        but the next ``gradient`` call on this context overwrites it.
+        :meth:`objective` and :meth:`blind` leave it alone, but the next
+        ``gradient`` call on this context overwrites it.
         """
         if self._scratch is None:
             self._scratch = self._make_scratch(*pa.shape)
@@ -429,23 +413,25 @@ class _BlockContext:
             np.subtract(g, np.multiply(coeff, back, out=back), out=g)
         return grad
 
-    def blind(self, pa):
+    def blind(self, pa, rows):
         """Inputs whose slope :meth:`gradient` reads finite but is ``+inf``.
 
+        ``pa`` holds candidates for the batch rows ``rows`` only, one each.
         Such an input reaches an output that has probability 0 in an entropy
         term with a positive coefficient; :meth:`gradient` takes ``log 0``
         as 0 there.  Only an input at (or underflowing to) zero mass can.
         """
         out = np.zeros(pa.shape, dtype=bool)
         if self.alpha is not None:
-            dead = np.matmul(pa[:, None, :], self.cond_a)[:, 0, :] <= 0.0
-            hit = ((self.cond_a > 0.0) & dead[:, None, :]).any(axis=2)
-            out |= hit & (self.alpha[..., None] > 0.0)
+            cond = self.cond_a[rows]
+            dead = np.matmul(pa[:, None, :], cond)[:, 0, :] <= 0.0
+            hit = ((cond > 0.0) & dead[:, None, :]).any(axis=2)
+            out |= hit & (self.alpha[rows, None] > 0.0)
         if self.beta is not None:
             q = (pa @ self.chan_flat).reshape(len(pa), self.nb, self.nz)
-            dead = (q <= 0.0) & (self.pb[:, :, None] > 0.0)
+            dead = (q <= 0.0) & (self.pb[rows, :, None] > 0.0)
             hit = dead.reshape(len(pa), -1).astype(float) @ self.chan_flat.T > 0.0
-            out |= hit & (self.beta[..., None] > 0.0)
+            out |= hit & (self.beta[rows, None] > 0.0)
         return out
 
 
@@ -456,8 +442,9 @@ def _ascend_block(pa, ctx: _BlockContext, hold, steps: int):
     ``alpha I(A;Z) + beta I(A;Z|B)`` plus a term linear in ``pa``, so it is
     concave and the multiplicative update ``p <- p 2^(grad / (alpha + beta))``
     (normalized per row, with each row's own ``alpha + beta``) climbs it
-    monotonically with no step size.  Rows with ``alpha + beta = 0`` have a
-    linear objective and move to the vertex of their largest gradient entry.
+    monotonically with no step size; ``ctx`` holds one set of coefficients
+    per row of ``pa``.  Rows with ``alpha + beta = 0`` have a linear
+    objective and move to the vertex of their largest gradient entry.
 
     A row's Frank–Wolfe gap ``max_a grad_a - p . grad`` at the incoming
     ``pa`` bounds what its block can still gain.  Rows in the boolean array
@@ -491,11 +478,11 @@ def _ascend_block(pa, ctx: _BlockContext, hold, steps: int):
     best = np.argmax(grad, axis=1)
     low = np.nonzero(hold & (gap <= _GAP_TOL))[0]
     if len(low):
-        blind = ctx.restrict(low).blind(pa[low])
+        blind = ctx.blind(pa[low], low)
         hit = blind.any(axis=1)
         gap[low[hit]] = np.inf
         best[low[hit]] = blind[hit].argmax(axis=1)
-    weight = ctx.coeffs[0] + ctx.coeffs[1]  # one per row, or one for all rows
+    weight = ctx.coeffs[0] + ctx.coeffs[1]
     move = (gap > _GAP_TOL) | ~hold
     at = np.arange(len(pa)), best
     starved = pa[at] < _REVIVE
@@ -648,27 +635,38 @@ def _boundary_chain(points: Sequence[tuple[float, float]]):
 
     The axis ends ``(max R1, 0)`` and ``(0, max R2)`` join the points:
     whatever is achievable jointly is achievable with either sender
-    silenced.  Points that agree to 9 decimals are merged onto the smallest
-    of them, so restarts that converged to the same optimum up to float
-    noise yield one vertex.  One pass of Andrew's monotone chain, over the
-    points by R1 descending and then R2 ascending, keeps the left turns and
-    drops near-collinear vertices; every vertex is one of the points or an
+    silenced.  One pass of Andrew's monotone chain, over the points by R1
+    descending and then R2 ascending, keeps the left turns and drops every
+    vertex that stands at most 1e-10 above the chord that would replace it;
+    the test is on that height, not on the cross product, so the vertices
+    between short segments near the axes stay.  The chain is monotone in
+    both rates, so vertices that agree to 9 decimals are adjacent; each such
+    run is merged onto the smallest point in the box it spans, which keeps
+    the chain monotone, so restarts that converged to the same optimum up to
+    float noise yield one vertex.  Every vertex is one of the points or an
     axis end.
     """
     pts = list(points)
     pts += [(max(p[0] for p in pts), 0.0), (0.0, max(p[1] for p in pts))]
-    merged = {}
-    for x, y in sorted(pts):
-        merged.setdefault((round(x, 9), round(y, 9)), (x, y))
     chain = []
-    for x, y in sorted(merged.values(), key=lambda p: (-p[0], p[1])):
+    for x, y in sorted(pts, key=lambda p: (-p[0], p[1])):
         while len(chain) >= 2:
             (ox, oy), (ax, ay) = chain[-2], chain[-1]
-            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 1e-12:
+            cross = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
+            if cross > 1e-10 * math.hypot(x - ox, y - oy):
                 break
             chain.pop()
         chain.append((x, y))
-    return chain
+    runs = {}
+    for v in chain:
+        runs.setdefault((round(v[0], 9), round(v[1], 9)), []).append(v)
+    out = []
+    for run in runs.values():
+        if len(run) > 1:
+            (x1, y0), (x0, y1) = run[0], run[-1]
+            run = [p for p in pts if x0 <= p[0] <= x1 and y0 <= p[1] <= y1]
+        out.append(min(run))
+    return out
 
 
 def inner_bound(

@@ -22,7 +22,7 @@ import dataclasses
 
 import numpy as np
 
-from .games import Game, ProductStrategy, losing_probability
+from .games import Game, ProductStrategy, _frozen_distributions, losing_probability
 
 
 class MacFormatError(ValueError):
@@ -46,17 +46,12 @@ class Mac:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.p, dtype=float).copy()
+        arr = _frozen_distributions(self.p, 3, 2, 1e-12, "channel table")
         if arr.shape != (self.na, self.nb, self.nz):
             raise ValueError(
                 f"channel table has shape {arr.shape}, expected "
                 f"({self.na}, {self.nb}, {self.nz})"
             )
-        if not np.isfinite(arr).all() or (arr < 0).any():  # nan passes a sum test
-            raise ValueError("channel table entries must be finite and nonnegative")
-        if np.abs(arr.sum(axis=2) - 1.0).max() > 1e-12:
-            raise ValueError("every conditional row must sum to 1")
-        arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
 
@@ -69,11 +64,7 @@ class ProductInput:
 
     def __post_init__(self):
         for name in ("p_a", "p_b"):
-            vec = np.asarray(getattr(self, name), dtype=float).copy()
-            # `>= 0` is false for nan; an inf fails the sum test
-            if vec.ndim != 1 or not (vec >= 0).all() or abs(vec.sum() - 1.0) > 1e-12:
-                raise ValueError(f"{name} must be a probability vector")
-            vec.setflags(write=False)
+            vec = _frozen_distributions(getattr(self, name), 1, 0, 1e-12, name)
             object.__setattr__(self, name, vec)
 
 
@@ -116,17 +107,12 @@ class Encoding:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.p, dtype=float).copy()
+        arr = _frozen_distributions(self.p, 4, (2, 3), 1e-10, "encoding table")
         if arr.shape != (self.n_a1, self.n_b1, self.na, self.nb):
             raise ValueError(
                 f"encoding table has shape {arr.shape}, expected "
                 f"({self.n_a1}, {self.n_b1}, {self.na}, {self.nb})"
             )
-        if not np.isfinite(arr).all() or (arr < 0).any():
-            raise ValueError("encoding table entries must be finite and nonnegative")
-        if np.abs(arr.sum(axis=(2, 3)) - 1.0).max() > 1e-10:
-            raise ValueError("conditional distributions must sum to 1")
-        arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
 
@@ -244,10 +230,8 @@ def strategy_input(s: ProductStrategy) -> ProductInput:
     """The product input on the compiled MAC induced by playing a strategy.
 
     Sender distributions are ``p(x, y) = pi(x) p(y|x)`` on the composite
-    (x-major) input alphabets; requires question marginals on ``s``.
+    (x-major) input alphabets.
     """
-    if s.pi_x1 is None or s.pi_x2 is None:
-        raise ValueError("strategy must include question marginals")
     p_a = (s.pi_x1[None, :] * s.p_y1_given_x1).T.reshape(-1)
     p_b = (s.pi_x2[None, :] * s.p_y2_given_x2).T.reshape(-1)
     return ProductInput(p_a, p_b)

@@ -68,6 +68,25 @@ def _frozen_bool(table, shape, what: str) -> np.ndarray:
     return arr
 
 
+def _frozen_distributions(values, ndim: int, axis, tol: float, what: str) -> np.ndarray:
+    """A read-only float copy of ``values``, a table of probability distributions.
+
+    ``values`` must have ``ndim`` axes and finite nonnegative entries, and
+    its sums along ``axis`` must lie within ``tol`` of 1.
+    """
+    arr = np.array(values, dtype=float)
+    if arr.ndim != ndim:
+        raise ValueError(f"{what} has {arr.ndim} axes, expected {ndim}")
+    # a nan fails the first test; an inf entry makes its sum inf
+    if not (arr.min() >= 0.0 and abs(arr.sum(axis=axis) - 1.0).max() <= tol):
+        raise ValueError(
+            f"{what} entries must be finite and nonnegative and sum to 1 along "
+            f"axis {axis}"
+        )
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclasses.dataclass(frozen=True)
 class Game:
     """A promise-free two-player game.
@@ -125,40 +144,25 @@ class PromisedGame:
 
 @dataclasses.dataclass(frozen=True)
 class ProductStrategy:
-    """A pair of local stochastic answer rules, optionally with question marginals.
+    """A pair of local stochastic answer rules with their question marginals.
 
     Attributes:
         p_y1_given_x1: Stochastic matrix of shape ``(ny1, nx1)``; column ``x1``
             is Alice's answer distribution for question ``x1``.
         p_y2_given_x2: Same for Bob, shape ``(ny2, nx2)``.
-        pi_x1, pi_x2: Optional question marginals (probability vectors).
+        pi_x1, pi_x2: Question marginals (probability vectors).
     """
 
     p_y1_given_x1: np.ndarray
     p_y2_given_x2: np.ndarray
-    pi_x1: np.ndarray | None = None
-    pi_x2: np.ndarray | None = None
+    pi_x1: np.ndarray
+    pi_x2: np.ndarray
 
     def __post_init__(self):
-        for name in ("p_y1_given_x1", "p_y2_given_x2"):
-            mat = np.asarray(getattr(self, name), dtype=float).copy()
-            if mat.ndim != 2:
-                raise ValueError(f"{name} must be a 2-d stochastic matrix")
-            if not (mat >= 0).all():  # false for nan; an inf fails the sum test
-                raise ValueError(f"{name} has negative or nan entries")
-            if np.abs(mat.sum(axis=0) - 1.0).max() > 1e-12:
-                raise ValueError(f"columns of {name} must sum to 1")
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
-        for name in ("pi_x1", "pi_x2"):
-            pi = getattr(self, name)
-            if pi is None:
-                continue
-            pi = np.asarray(pi, dtype=float).copy()
-            if pi.ndim != 1 or not (pi >= 0).all() or abs(pi.sum() - 1.0) > 1e-12:
-                raise ValueError(f"{name} must be a probability vector")
-            pi.setflags(write=False)
-            object.__setattr__(self, name, pi)
+        ndims = {"p_y1_given_x1": 2, "p_y2_given_x2": 2, "pi_x1": 1, "pi_x2": 1}
+        for name, ndim in ndims.items():
+            table = _frozen_distributions(getattr(self, name), ndim, 0, 1e-12, name)
+            object.__setattr__(self, name, table)
 
     @property
     def ny1(self) -> int:
@@ -209,8 +213,6 @@ def _check_strategy_shape(g: Game, s: ProductStrategy) -> None:
             f"strategy alphabets ({s.nx1},{s.nx2},{s.ny1},{s.ny2}) do not match "
             f"game ({g.nx1},{g.nx2},{g.ny1},{g.ny2})"
         )
-    if s.pi_x1 is None or s.pi_x2 is None:
-        raise ValueError("strategy must include question marginals")
     if len(s.pi_x1) != g.nx1 or len(s.pi_x2) != g.nx2:
         raise ValueError("question marginal lengths do not match the game")
 

@@ -19,7 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .channel import Encoding
-from .games import MAGIC_SQUARE_ALICE_ANSWERS, MAGIC_SQUARE_BOB_ANSWERS, Game
+from .games import (
+    MAGIC_SQUARE_ALICE_ANSWERS, MAGIC_SQUARE_BOB_ANSWERS, Game, _frozen_distributions
+)
 
 _NORM_TOL = 1e-10
 _HERM_TOL = 1e-10
@@ -232,14 +234,17 @@ def magic_square_strategy() -> QuantumStrategy:
 def strategy_winning_probability(
     g: Game, qs: QuantumStrategy, pi_x1, pi_x2
 ) -> float:
-    """Winning probability of a quantum strategy under given question marginals."""
+    """Winning probability of a quantum strategy under given question marginals.
+
+    Each marginal must be a probability vector over the game's questions.
+    """
     if (qs.nx1, qs.nx2, qs.ny1, qs.ny2) != (g.nx1, g.nx2, g.ny1, g.ny2):
         raise ValueError(
             f"strategy alphabets ({qs.nx1},{qs.nx2},{qs.ny1},{qs.ny2}) do not "
             f"match game ({g.nx1},{g.nx2},{g.ny1},{g.ny2})"
         )
-    pi1 = np.asarray(pi_x1, dtype=float)
-    pi2 = np.asarray(pi_x2, dtype=float)
+    pi1 = _frozen_distributions(pi_x1, 1, 0, 1e-12, "pi_x1")
+    pi2 = _frozen_distributions(pi_x2, 1, 0, 1e-12, "pi_x2")
     if pi1.shape != (g.nx1,) or pi2.shape != (g.nx2,):
         raise ValueError("question marginal lengths do not match the game")
     corr = correlation(qs)

@@ -20,6 +20,19 @@ def random_strategy(rng, g: Game) -> ProductStrategy:
     return ProductStrategy(p1, p2, pi1, pi2)
 
 
+def sparse_distributions(rng, rows, k) -> np.ndarray:
+    """Random distributions over ``k`` outcomes, many with zero-mass entries.
+
+    About a third of the rows are point masses.
+    """
+    p = rng.dirichlet(np.ones(k), size=rows)
+    p[rng.random(p.shape) < 0.4] = 0.0
+    p[np.arange(rows), rng.integers(0, k, rows)] += 0.5
+    point = rng.random(rows) < 0.3
+    p[point] = np.eye(k)[rng.integers(0, k, point.sum())]
+    return p / p.sum(axis=1, keepdims=True)
+
+
 def random_quantum_strategy(
     rng, nx1, nx2, ny1, ny2, d=3, d_b=None
 ) -> QuantumStrategy:

@@ -28,7 +28,9 @@ from gamemac import (
     write_mac_file,
 )
 from gamemac.games import Game, ProductStrategy
-from conftest import random_game, random_quantum_strategy, random_strategy
+from conftest import (
+    random_game, random_quantum_strategy, random_strategy, sparse_distributions
+)
 
 
 def all_win_game(nx1=2, nx2=2, ny1=2, ny2=2) -> Game:
@@ -63,19 +65,6 @@ def reference_pentagon(n: Mac, q: ProductInput) -> tuple[float, float, float]:
         max(h_ab + h_az - h_a - h_abz, 0.0),
         max(h_ab + h_z - h_abz, 0.0),
     )
-
-
-def sparse_distributions(rng, rows, k) -> np.ndarray:
-    """Random distributions over ``k`` outcomes, many with zero-mass entries.
-
-    About a third of the rows are point masses.
-    """
-    p = rng.dirichlet(np.ones(k), size=rows)
-    p[rng.random(p.shape) < 0.4] = 0.0
-    p[np.arange(rows), rng.integers(0, k, rows)] += 0.5
-    point = rng.random(rows) < 0.3
-    p[point] = np.eye(k)[rng.integers(0, k, point.sum())]
-    return p / p.sum(axis=1, keepdims=True)
 
 
 def uniform_strategy(g: Game) -> ProductStrategy:
@@ -307,9 +296,8 @@ class TestStrategyInput:
                 )
 
     def test_requires_marginals(self):
-        s = ProductStrategy(np.full((2, 2), 0.5), np.full((2, 2), 0.5))
-        with pytest.raises(ValueError):
-            strategy_input(s)
+        with pytest.raises(TypeError):
+            ProductStrategy(np.full((2, 2), 0.5), np.full((2, 2), 0.5))
 
 
 def reference_mac_text(n: Mac) -> str:

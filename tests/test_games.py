@@ -148,15 +148,15 @@ class TestWinningProbability:
             winning_probability(g, bigger)
 
     def test_marginals_required(self):
-        g = chsh_game()
-        s = ProductStrategy(np.full((2, 2), 0.5), np.full((2, 2), 0.5))
-        with pytest.raises(ValueError):
-            winning_probability(g, s)
+        with pytest.raises(TypeError):
+            ProductStrategy(np.full((2, 2), 0.5), np.full((2, 2), 0.5))
 
     def test_nan_entries_rejected(self):
         half = np.full((2, 2), 0.5)
         with pytest.raises(ValueError):
-            ProductStrategy(np.array([[np.nan, 0.5], [np.nan, 0.5]]), half)
+            ProductStrategy(
+                np.array([[np.nan, 0.5], [np.nan, 0.5]]), half, [0.5, 0.5], [0.5, 0.5]
+            )
         with pytest.raises(ValueError):
             ProductStrategy(half, half, [np.nan, 1.0], [0.5, 0.5])
 

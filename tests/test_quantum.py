@@ -222,6 +222,16 @@ class TestStrategyWinningProbability:
         with pytest.raises(ValueError):
             strategy_winning_probability(chsh_game(), qs, [0.5, 0.5], [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [1.0, 1.0, 1.0]])
+    def test_marginals_must_be_distributions(self, bad):
+        # a nan marginal gave a nan value, and [1, 1, 1] on both sides gave 1.0
+        g, qs = magic_square_game(), magic_square_strategy()
+        uniform = np.full(3, 1 / 3)
+        with pytest.raises(ValueError):
+            strategy_winning_probability(g, qs, bad, uniform)
+        with pytest.raises(ValueError):
+            strategy_winning_probability(g, qs, uniform, bad)
+
 
 class TestToClassicalChannel:
     def test_constant_post_processing_is_point_mass(self, rng):
