@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channel import (
-    Mac, Pentagon, ProductInput, _rates, _row_entropies, _Workspace, pentagon
+    Mac, Pentagon, ProductInput, _log2, _rates, _row_entropies, _Workspace, pentagon
 )
 from .games import Game
 
@@ -271,14 +271,6 @@ class RegionBound:
             raise ValueError("rates must be nonnegative")
 
 
-def _log2_in_place(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``x <- log2(x)`` in place, with ``log 0`` taken as 0.
-
-    ``x`` is nonnegative; ``mask`` is a boolean scratch array of its shape.
-    """
-    return np.log2(x, out=x, where=np.greater(x, 0.0, out=mask))
-
-
 def _vertex_coeffs(mu):
     """Coefficients (alpha, beta, gamma, kappa) of the weighted objective.
 
@@ -317,9 +309,12 @@ class _BlockContext:
     selects the second sender's block (``pb`` is then the first sender's
     batch, and the coefficients of ``H(Z|B)`` and ``H(Z|A)`` trade places).
     ``coeffs`` holds four arrays from :func:`_vertex_coeffs`, each with one
-    value per batch row; the entropies of ``cond_a`` are taken only on the
-    rows that weigh them, and :meth:`objective` skips a term only when its
-    coefficient is zero on every row.
+    value per batch row.  Each entropy term is taken only on the rows
+    ``rows_a`` or ``rows_b`` that :func:`_span` finds for its coefficient,
+    ``None`` when no row weighs it (rows inside a span with a zero
+    coefficient weigh it by 0).  The solver's
+    batches are ordered by weight, and each coefficient is nonzero on one
+    range of weights, so there a span holds exactly those rows.
     """
 
     def __init__(self, pb, ws: _Workspace, coeffs, transposed=False):
@@ -329,88 +324,44 @@ class _BlockContext:
         self.chan_flat = ws.flat[side]
         na, self.nb, self.nz = len(self.chan_flat), pb.shape[1], ws.nz
         alpha, beta, gamma, kappa = coeffs
-        self.pb, self.coeffs = pb, coeffs
-        self.alpha = alpha if alpha.any() else None
-        self.beta = beta if beta.any() else None
+        self.pb, self.alpha, self.beta, self.weight = pb, alpha, beta, alpha + beta
+        self.rows_a, self.rows_b = _span(alpha), _span(beta)
         self.cond_a = (pb @ ws.flat[1 - side]).reshape(len(pb), na, self.nz)
         # the noise-floor term, linear in pa
         self.lin = kappa[:, None] * (pb @ ws.rowent[side].T)
         rows = _span(gamma)
         if rows is not None:
             self.lin[rows] -= gamma[rows, None] * _row_entropies(self.cond_a[rows])
-        self._scratch = None  # gradient terms and buffers, made on first use
+        # the +1 / ln 2 of each entropy's slope, summed over the outputs of a
+        # distribution, is one constant per row: (alpha + beta) / ln 2
+        self.const = -_INV_LN2 * self.weight[:, None] - self.lin
+        if self.rows_b is not None:  # pb[b] over the (b, z) columns of the channel
+            self.pb_cols = np.repeat(pb[self.rows_b], self.nz, axis=1)
 
     def objective(self, pa):
         """Objective values for candidate rows ``pa``, one per batch row."""
         out = -(pa * self.lin).sum(axis=1)
-        if self.alpha is not None:
+        if self.rows_a is not None:
             pz = np.matmul(pa[:, None, :], self.cond_a)[:, 0, :]
             out = out + self.alpha * _row_entropies(pz)
-        if self.beta is not None:
+        if self.rows_b is not None:
             q = (pa @ self.chan_flat).reshape(len(pa), self.nb, self.nz)
             out = out + self.beta * (self.pb * _row_entropies(q)).sum(axis=1)
         return out
 
-    def _make_scratch(self, n, na):
-        """The gradient's output array, its constant part, and each entropy term.
-
-        The constant part is ``-lin`` less ``(alpha + beta) / ln 2``: the
-        ``+1 / ln 2`` of each entropy's slope, summed over the outputs of a
-        distribution, is one constant per row.  A term is ``None`` when its
-        coefficient is zero on every row, else ``(rows, coeff, data, *buffers)``
-        on the slice ``rows`` of the batch that spans its nonzero coefficients
-        (rows inside it with a zero coefficient weigh it by 0).  The solver's
-        batches are ordered by weight, and each coefficient is nonzero on one
-        range of weights, so there the slice holds exactly those rows.
-        """
-
-        def term(coeff, data, width):
-            if coeff is None:
-                return None
-            rows = _span(coeff)
-            coeff, data = coeff[rows, None], data[rows]
-            k = len(data)  # the product (its log2 in place), mask, back
-            bufs = np.empty((k, width)), np.empty((k, width), dtype=bool)
-            return (rows, coeff, data) + bufs + (np.empty((k, na)),)
-
-        weight = (self.coeffs[0] + self.coeffs[1])[:, None]
-        # pb[b] over the (b, z) columns of the channel, for the beta term
-        pb = None if self.beta is None else np.repeat(self.pb, self.nz, axis=1)
-        return (
-            np.empty((n, na)),
-            np.subtract(-_INV_LN2 * weight, self.lin),
-            term(self.alpha, self.cond_a, self.nz),
-            term(self.beta, pb, self.nb * self.nz),
-        )
-
     def gradient(self, pa):
-        """Gradient of :meth:`objective` with respect to ``pa``.
-
-        Runs without allocating after the first call: each entropy term is
-        computed on the rows that weigh it, in scratch arrays this context
-        owns, onto a per-context constant that holds the linear term and every
-        entropy's ``1 / ln 2``.  The returned array is one of them.
-        :meth:`objective` and :meth:`blind` leave it alone, but the next
-        ``gradient`` call on this context overwrites it.
-        """
-        if self._scratch is None:
-            self._scratch = self._make_scratch(*pa.shape)
-        grad, const, alpha, beta = self._scratch
-        np.copyto(grad, const)
-        if alpha is not None:
-            rows, coeff, cond, pz, mask, back = alpha
-            np.matmul(pa[rows, None, :], cond, out=pz[:, None, :])
-            lg = _log2_in_place(pz, mask)
-            np.matmul(cond, lg[:, :, None], out=back[:, :, None])
-            g = grad[rows]
-            np.subtract(g, np.multiply(coeff, back, out=back), out=g)
-        if beta is not None:
-            rows, coeff, pb, q, mask, back = beta
-            lg = _log2_in_place(np.matmul(pa[rows], self.chan_flat, out=q), mask)
-            np.multiply(pb, lg, out=lg)
-            np.matmul(lg, self.chan_flat.T, out=back)
-            g = grad[rows]
-            np.subtract(g, np.multiply(coeff, back, out=back), out=g)
+        """Gradient of :meth:`objective` with respect to ``pa``, a new array."""
+        grad = self.const.copy()
+        rows = self.rows_a
+        if rows is not None:
+            cond = self.cond_a[rows]
+            lg = _log2(np.matmul(pa[rows, None, :], cond)[:, 0, :])
+            back = np.matmul(cond, lg[:, :, None])[:, :, 0]
+            grad[rows] -= self.alpha[rows, None] * back
+        rows = self.rows_b
+        if rows is not None:
+            back = (self.pb_cols * _log2(pa[rows] @ self.chan_flat)) @ self.chan_flat.T
+            grad[rows] -= self.beta[rows, None] * back
         return grad
 
     def blind(self, pa, rows):
@@ -422,12 +373,12 @@ class _BlockContext:
         as 0 there.  Only an input at (or underflowing to) zero mass can.
         """
         out = np.zeros(pa.shape, dtype=bool)
-        if self.alpha is not None:
+        if self.rows_a is not None:
             cond = self.cond_a[rows]
             dead = np.matmul(pa[:, None, :], cond)[:, 0, :] <= 0.0
             hit = ((cond > 0.0) & dead[:, None, :]).any(axis=2)
             out |= hit & (self.alpha[rows, None] > 0.0)
-        if self.beta is not None:
+        if self.rows_b is not None:
             q = (pa @ self.chan_flat).reshape(len(pa), self.nb, self.nz)
             dead = (q <= 0.0) & (self.pb[rows, :, None] > 0.0)
             hit = dead.reshape(len(pa), -1).astype(float) @ self.chan_flat.T > 0.0
@@ -482,7 +433,7 @@ def _ascend_block(pa, ctx: _BlockContext, hold, steps: int):
         hit = blind.any(axis=1)
         gap[low[hit]] = np.inf
         best[low[hit]] = blind[hit].argmax(axis=1)
-    weight = ctx.coeffs[0] + ctx.coeffs[1]
+    weight = ctx.weight
     move = (gap > _GAP_TOL) | ~hold
     at = np.arange(len(pa)), best
     starved = pa[at] < _REVIVE
@@ -493,15 +444,12 @@ def _ascend_block(pa, ctx: _BlockContext, hold, steps: int):
     if not ba.any():
         return pa, gap
     div = np.where(ba, np.maximum(weight, _WEIGHT_FLOOR), np.inf)[:, None]
-    p, g = pa.copy(), grad
-    e, s = np.empty_like(p), np.empty_like(div)
+    p, g = pa, grad
     for step in range(steps):
         if step or (starved & ba).any():
             g = ctx.gradient(p)
-        np.subtract(g, g.max(axis=1, keepdims=True, out=s), out=e)
-        np.divide(e, div, out=e)
-        np.multiply(p, np.exp2(e, out=e), out=p)
-        np.divide(p, p.sum(axis=1, keepdims=True, out=s), out=p)
+        p = p * np.exp2((g - g.max(axis=1, keepdims=True)) / div)
+        p = p / p.sum(axis=1, keepdims=True)
     pa[ba] = p[ba]
     return pa, gap
 

@@ -154,9 +154,14 @@ def compose(n: Mac, e: Encoding) -> Mac:
     return Mac(e.n_a1, e.n_b1, n.nz, p.reshape(e.n_a1, e.n_b1, n.nz))
 
 
+def _log2(p: np.ndarray) -> np.ndarray:
+    """``log2`` of a nonnegative array, with ``log 0`` taken as 0."""
+    return np.log2(p, where=p > 0.0, out=np.zeros(p.shape))
+
+
 def _row_entropies(p: np.ndarray) -> np.ndarray:
     """Entropies in bits along the last axis; zero cells contribute zero."""
-    return -(p * np.log2(p, where=p > 0.0, out=np.zeros_like(p))).sum(axis=-1)
+    return -(p * _log2(p)).sum(axis=-1)
 
 
 def entropy(p) -> float:

@@ -240,16 +240,32 @@ def losing_probability(g: Game, s: ProductStrategy) -> float:
     return 1.0 - winning_probability(g, s)
 
 
+def _index_table(values, shape: tuple[int, ...], high: int, what: str) -> np.ndarray:
+    """``values`` as an array of ``shape`` whose entries are integers in ``[0, high)``.
+
+    Raises ValueError otherwise; a float table is refused even where it holds
+    whole numbers, so that nothing is truncated or wrapped around silently.
+    """
+    table = np.asarray(values)
+    if table.shape != shape:
+        raise ValueError(f"{what} has shape {table.shape}, expected {shape}")
+    if table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= high:
+        raise ValueError(f"{what} entries must be integers in [0, {high})")
+    return table
+
+
 def deterministic_strategy(
     g: Game, alice: Sequence[int], bob: Sequence[int]
 ) -> ProductStrategy:
-    """Wrap deterministic answer tables as a ProductStrategy with uniform questions."""
-    if len(alice) != g.nx1 or len(bob) != g.nx2:
-        raise ValueError("answer tables must have one entry per question")
+    """Wrap deterministic answer tables as a ProductStrategy with uniform questions.
+
+    ``alice[x1]`` and ``bob[x2]`` are answer indices; a table with a wrong
+    length or an entry that is not an answer index raises ValueError.
+    """
     p1 = np.zeros((g.ny1, g.nx1))
-    p1[np.asarray(alice, dtype=int), np.arange(g.nx1)] = 1.0
+    p1[_index_table(alice, (g.nx1,), g.ny1, "alice"), np.arange(g.nx1)] = 1.0
     p2 = np.zeros((g.ny2, g.nx2))
-    p2[np.asarray(bob, dtype=int), np.arange(g.nx2)] = 1.0
+    p2[_index_table(bob, (g.nx2,), g.ny2, "bob"), np.arange(g.nx2)] = 1.0
     return ProductStrategy(
         p1, p2, np.full(g.nx1, 1.0 / g.nx1), np.full(g.nx2, 1.0 / g.nx2)
     )

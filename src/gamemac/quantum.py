@@ -20,7 +20,8 @@ import numpy as np
 
 from .channel import Encoding
 from .games import (
-    MAGIC_SQUARE_ALICE_ANSWERS, MAGIC_SQUARE_BOB_ANSWERS, Game, _frozen_distributions
+    MAGIC_SQUARE_ALICE_ANSWERS, MAGIC_SQUARE_BOB_ANSWERS, Game, _frozen_distributions,
+    _index_table,
 )
 
 _NORM_TOL = 1e-10
@@ -35,8 +36,8 @@ class PureState:
     """A shared pure state of two local systems.
 
     Attributes:
-        amplitudes: Complex vector of length ``d_a * d_b``, Alice-major.
-        d_a, d_b: Local dimensions.
+        amplitudes: Finite complex vector of length ``d_a * d_b``, Alice-major.
+        d_a, d_b: Local dimensions, each at least 1.
     """
 
     amplitudes: np.ndarray
@@ -44,7 +45,11 @@ class PureState:
     d_b: int
 
     def __post_init__(self):
+        if self.d_a < 1 or self.d_b < 1:
+            raise ValueError("local dimensions must be positive")
         vec = np.asarray(self.amplitudes, dtype=complex).copy()
+        if not np.isfinite(vec).all():
+            raise ValueError("amplitudes must be finite")
         if vec.shape != (self.d_a * self.d_b,):
             raise ValueError(
                 f"amplitude vector has length {vec.size}, expected "
@@ -64,7 +69,7 @@ class PureState:
 class Povm:
     """A positive operator-valued measure on one local system.
 
-    Elements must be Hermitian, positive semidefinite up to ``-1e-10``
+    Elements must be finite, Hermitian, positive semidefinite up to ``-1e-10``
     eigenvalue slack, and sum to the identity within ``1e-10`` entrywise.
 
     Attributes:
@@ -83,6 +88,8 @@ class Povm:
             raise ValueError("a POVM needs at least one element")
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("POVM elements must be square and same-sized")
+        if not np.isfinite(stack).all():
+            raise ValueError("POVM elements must be finite")
         if np.abs(stack - stack.conj().transpose(0, 2, 1)).max() > _HERM_TOL:
             raise ValueError("POVM element is not Hermitian")
         if np.linalg.eigvalsh(stack).min() < _PSD_TOL:
@@ -271,8 +278,8 @@ def to_classical_channel(
     Args:
         qs: The quantum strategy generating outcomes.
         post1: Integer table of shape ``(nx1, ny1)``; ``post1[a1, y1]`` is the
-            first sender's channel input.  Must be total with values in
-            ``[0, na)``.
+            first sender's channel input.  Must be total with integer values
+            in ``[0, na)``; anything else raises ValueError.
         post2: Same for the second sender, values in ``[0, nb)``.
         na, nb: Input alphabet sizes of the downstream channel.
 
@@ -280,16 +287,8 @@ def to_classical_channel(
         The encoding ``E(a, b | a1, b1) = sum over outcomes mapped to (a, b)``
         of the strategy's correlation.
     """
-    f1 = np.asarray(post1, dtype=int)
-    f2 = np.asarray(post2, dtype=int)
-    if f1.shape != (qs.nx1, qs.ny1):
-        raise ValueError(f"post1 has shape {f1.shape}, expected ({qs.nx1}, {qs.ny1})")
-    if f2.shape != (qs.nx2, qs.ny2):
-        raise ValueError(f"post2 has shape {f2.shape}, expected ({qs.nx2}, {qs.ny2})")
-    if f1.min() < 0 or f1.max() >= na:
-        raise ValueError("post1 values must lie in [0, na)")
-    if f2.min() < 0 or f2.max() >= nb:
-        raise ValueError("post2 values must lie in [0, nb)")
+    f1 = _index_table(post1, (qs.nx1, qs.ny1), na, "post1")
+    f2 = _index_table(post2, (qs.nx2, qs.ny2), nb, "post2")
     corr = correlation(qs)
     a1, b1, y1, y2 = np.indices(corr.shape, sparse=True)
     table = np.zeros((qs.nx1, qs.nx2, na, nb))

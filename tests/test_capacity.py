@@ -279,7 +279,7 @@ class TestOptimizerInternals:
         # linear block the Frank–Wolfe gap is exactly what that jump gains
         block, p = _block(seed, 1.0 if transposed else 0.0, transposed)
         ctx = block()
-        assert (ctx.coeffs[0] + ctx.coeffs[1] == 0.0).all()
+        assert (ctx.weight == 0.0).all()
         before = ctx.objective(p)
         p, gap = _ascend_block(p.copy(), ctx, np.zeros(len(p), dtype=bool), STEPS)
         assert ((p == 0.0) | (p == 1.0)).all() and (p.sum(axis=1) == 1.0).all()
@@ -350,26 +350,21 @@ class TestOptimizerInternals:
         expect = alone.blind(own[rows], np.arange(len(rows)))
         assert (ctx.blind(own[rows], rows) == expect).all()
 
-    def test_held_gradient_is_not_overwritten(self, rng):
-        # the gradient lives in the context's scratch arrays: objective, blind
-        # and another context leave it alone; the next gradient call reuses it
+    def test_gradient_is_a_new_array(self, rng):
+        # a gradient taken earlier stays as it was through later gradient,
+        # objective and blind calls on the same context
         n = mac_from_game(random_game(rng, max_size=3))
-        ws = _Workspace(n)
         mus = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
         pa = rng.dirichlet(np.ones(n.na), size=len(mus))
         pb = rng.dirichlet(np.ones(n.nb), size=len(mus))
-        coeffs = _vertex_coeffs(mus)
-        ctx = _BlockContext(pb, ws, coeffs)
+        ctx = _BlockContext(pb, _Workspace(n), _vertex_coeffs(mus))
         grad = ctx.gradient(pa)
         held = grad.copy()
         moved = rng.dirichlet(np.ones(n.na), size=len(mus))
+        later = ctx.gradient(moved)
         ctx.objective(moved)
         ctx.blind(moved, np.arange(len(mus)))
-        sub = _BlockContext(pb[[1, 3]], ws, [c[[1, 3]] for c in coeffs])
-        sub.gradient(moved[[1, 3]])
-        sub.objective(moved[[1, 3]])
-        assert (grad == held).all()
-        assert ctx.gradient(moved) is grad and not (grad == held).all()
+        assert (grad == held).all() and not (later == held).all()
 
     def test_gradient_matches_finite_differences(self, rng):
         g = random_game(rng, max_size=3)

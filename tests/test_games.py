@@ -160,6 +160,18 @@ class TestWinningProbability:
         with pytest.raises(ValueError):
             ProductStrategy(half, half, [np.nan, 1.0], [0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "table",
+        [[-1, 0, 0], [0.7, 0, 0], [4, 0, 0], [1.0, 0, 0], [0, 0]],
+        ids=["negative", "fraction", "beyond_answers", "float", "short"],
+    )
+    def test_deterministic_tables_must_be_answer_indices(self, table):
+        g = magic_square_game()  # 3 questions and 4 answers a player
+        with pytest.raises(ValueError):
+            deterministic_strategy(g, table, [0, 0, 0])
+        with pytest.raises(ValueError):
+            deterministic_strategy(g, [0, 0, 0], table)
+
     def test_affine_in_strategy_mixture(self, rng):
         for _ in range(20):
             g = random_game(rng)

@@ -72,6 +72,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             Povm(elements)
 
+    @pytest.mark.parametrize(
+        "amplitudes, d_a, d_b",
+        [([np.nan, 0, 0, 0], 2, 2), ([1, 0, 0, 1j * np.nan], 2, 2), (np.ones(4) / 2, -2, -2)],
+        ids=["nan", "nan_imaginary", "negative_dims"],
+    )
+    def test_state_must_be_finite_with_positive_dims(self, amplitudes, d_a, d_b):
+        with pytest.raises(ValueError):
+            PureState(np.array(amplitudes, dtype=complex), d_a, d_b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_povm_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Povm([np.diag([bad, 1.0]), np.diag([1.0, 0.0])])
+
     def test_mismatched_outcome_counts_rejected(self):
         state = PureState(np.array([1, 0, 0, 0], dtype=complex), 2, 2)
         with pytest.raises(ValueError):
@@ -281,6 +295,15 @@ class TestToClassicalChannel:
         bad = np.array([[0, 1], [2, 5]])
         with pytest.raises(ValueError):
             to_classical_channel(qs, bad, np.zeros((2, 2), int), 4, 4)
+
+    @pytest.mark.parametrize("shift", [0.9, -1], ids=["non_integer", "negative"])
+    def test_post_must_be_inputs_of_the_channel(self, shift):
+        qs = magic_square_strategy()
+        bad, good = identity_post(3, 4) + shift, identity_post(3, 4)
+        with pytest.raises(ValueError):
+            to_classical_channel(qs, bad, good, 12, 12)
+        with pytest.raises(ValueError):
+            to_classical_channel(qs, good, bad, 12, 12)
 
 
 # Random strategies with unequal local dimensions, so that a transposed state
