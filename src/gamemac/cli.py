@@ -27,12 +27,6 @@ EXIT_DEGENERATE = 4
 EXIT_IO = 5
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        self.message = message
-
-
 def _int_at_least(text: str, low: int, kind: str) -> int:
     try:
         val = int(text)
@@ -73,39 +67,27 @@ def _load_game(arg: str) -> games.Game:
     if builder is not None:
         return builder()
     if not os.path.exists(arg):
-        raise _CliError(EXIT_INPUT, f"no such builtin or file: {arg}")
-    try:
-        return games.load_game_file(arg)
-    except games.GameFormatError as exc:
-        raise _CliError(EXIT_INPUT, str(exc)) from exc
-    except OSError as exc:
-        raise _CliError(EXIT_IO, str(exc)) from exc
+        raise ValueError(f"no such builtin or file: {arg}")
+    return games.load_game_file(arg)
 
 
 def _load_game_or_mac(arg: str) -> channel.Mac:
     if arg not in games.BUILTIN_GAMES and os.path.exists(arg):
-        try:
-            with open(arg, "r", encoding="utf-8") as fh:
-                kind = fh.readline().split()[:1]
-            if kind == ["mac"]:
-                return channel.load_mac_file(arg)
-        except channel.MacFormatError as exc:
-            raise _CliError(EXIT_INPUT, str(exc)) from exc
-        except OSError as exc:
-            raise _CliError(EXIT_IO, str(exc)) from exc
+        # the header is the first non-blank line, as both file loaders read it
+        with open(arg, "r", encoding="utf-8") as fh:
+            kind = next(filter(None, map(str.split, fh)), [])[:1]
+        if kind == ["mac"]:
+            return channel.load_mac_file(arg)
         if kind != ["game"]:
-            raise _CliError(EXIT_INPUT, f"{arg}: expected a 'game' or 'mac' header")
+            raise ValueError(f"{arg}: expected a 'game' or 'mac' header")
     return channel.mac_from_game(_load_game(arg))
 
 
 def _brute_force(g: games.Game, args) -> games.BruteForceResult:
-    """Brute force on ``--threads`` workers, or GAMEMAC_THREADS; over budget exits 3."""
-    try:
-        return games.omega_uniform_bruteforce(
-            g, budget=args.budget, workers=args.threads or _default_threads()
-        )
-    except games.EnumerationBudgetError as exc:
-        raise _CliError(EXIT_BUDGET, str(exc)) from exc
+    """Brute force on ``--threads`` workers, or GAMEMAC_THREADS."""
+    return games.omega_uniform_bruteforce(
+        g, budget=args.budget, workers=args.threads or _default_threads()
+    )
 
 
 def _cmd_omega(args) -> int:
@@ -119,12 +101,12 @@ def _cmd_omega(args) -> int:
 
 def _cmd_quantum_verify(args) -> int:
     if args.builtin != "magicsquare":
-        raise _CliError(EXIT_INPUT, f"unknown builtin strategy: {args.builtin}")
+        raise ValueError(f"unknown builtin strategy: {args.builtin}")
     qs = quantum.magic_square_strategy()
     if args.swap_bob is not None:
         i, j = args.swap_bob
         if not (0 <= i < qs.nx2 and 0 <= j < qs.nx2):
-            raise _CliError(EXIT_INPUT, "swap indices must be question indices")
+            raise ValueError("swap indices must be question indices")
         povms = list(qs.bob_povms)
         povms[i], povms[j] = povms[j], povms[i]
         qs = quantum.QuantumStrategy(qs.state, qs.alice_povms, povms)
@@ -146,9 +128,9 @@ def _parse_omega(text: str) -> Fraction:
     try:
         val = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _CliError(EXIT_INPUT, f"cannot parse omega value {text!r}") from exc
+        raise ValueError(f"cannot parse omega value {text!r}") from exc
     if not 0 < val <= 1:
-        raise _CliError(EXIT_INPUT, f"omega must lie in (0, 1], got {text}")
+        raise ValueError(f"omega must lie in (0, 1], got {text}")
     return val
 
 
@@ -159,7 +141,8 @@ def _cmd_sumrate_bound(args) -> int:
     else:
         omega = _brute_force(g, args).value
     if float(omega) == 1.0:
-        raise _CliError(EXIT_DEGENERATE, "omega = 1: no nontrivial bound")
+        print("error: omega = 1: no nontrivial bound", file=sys.stderr)
+        return EXIT_DEGENERATE
     result = capacity.sum_rate_upper_bound(g, omega)
     print(
         f"delta*={result.delta_star:.6f} eps*={result.eps_star:.6f} "
@@ -167,10 +150,7 @@ def _cmd_sumrate_bound(args) -> int:
     )
     if args.curve:
         curve = capacity.upper_bound_curve(g, omega)
-        try:
-            capacity.write_upper_bound_curve(args.curve, curve)
-        except OSError as exc:
-            raise _CliError(EXIT_IO, str(exc)) from exc
+        capacity.write_upper_bound_curve(args.curve, curve)
     return EXIT_OK
 
 
@@ -178,10 +158,7 @@ def _cmd_region(args) -> int:
     mac = _load_game_or_mac(args.input)
     region = capacity.inner_bound(mac, restarts=args.restarts, seed=args.seed)
     if args.out:
-        try:
-            capacity.write_region_dat(args.out, region)
-        except OSError as exc:
-            raise _CliError(EXIT_IO, str(exc)) from exc
+        capacity.write_region_dat(args.out, region)
     best = max(region.witnesses, key=lambda w: (w.r1 + w.r2, -w.mu_index, -w.restart))
     print(f"best sum rate = {best.r1 + best.r2:.6f}")
     print("pA =", " ".join(f"{v:.6f}" for v in best.input.p_a))
@@ -192,10 +169,7 @@ def _cmd_region(args) -> int:
 def _cmd_mac_export(args) -> int:
     g = _load_game(args.game)
     mac = channel.mac_from_game(g)
-    try:
-        channel.write_mac_file(args.out, mac)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, str(exc)) from exc
+    channel.write_mac_file(args.out, mac)
     print(f"wrote {mac.na * mac.nb} rows x {mac.nz} outputs to {args.out}")
     return EXIT_OK
 
@@ -270,15 +244,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place where an exception becomes an exit code."""
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, games.EnumerationBudgetError):
+            return EXIT_BUDGET
+        return EXIT_INPUT if isinstance(exc, ValueError) else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -315,6 +315,108 @@ class TestLsgRates:
         assert code == 2
 
 
+class TestExitCodes:
+    """Every failure route through ``main``: exit code, stderr line and stdout."""
+
+    MAGIC_BOUND = "delta*=0.032983 eps*=0.010405 bound=3.136942\n"
+
+    @pytest.mark.parametrize(
+        "argv, code, err, out",
+        [
+            ("omega {tmp}/none.txt", 2, "no such builtin or file: {tmp}/none.txt", ""),
+            (
+                "omega {tmp}/junk.game",
+                2,
+                "{tmp}/junk.game: expected header 'game nx1 nx2 ny1 ny2'",
+                "",
+            ),
+            (
+                "region {tmp}/junk.game --restarts 1",
+                2,
+                "{tmp}/junk.game: expected a 'game' or 'mac' header",
+                "",
+            ),
+            (
+                "region {tmp}/nan.mac --restarts 1",
+                2,
+                "{tmp}/nan.mac: channel table entries must be finite and "
+                "nonnegative and sum to 1 along axis 2",
+                "",
+            ),
+            (
+                "omega {tmp}/big.game --budget 10",
+                3,
+                "too large for brute force: 531441 tables exceed the budget of 10",
+                "",
+            ),
+            (
+                "sumrate-bound magicsquare --omega 1",
+                4,
+                "omega = 1: no nontrivial bound",
+                "",
+            ),
+            (
+                "sumrate-bound magicsquare --omega 1/0",
+                2,
+                "cannot parse omega value '1/0'",
+                "",
+            ),
+            (
+                "sumrate-bound magicsquare --omega 5/4",
+                2,
+                "omega must lie in (0, 1], got 5/4",
+                "",
+            ),
+            ("quantum-verify nosuchgame", 2, "unknown builtin strategy: nosuchgame", ""),
+            (
+                "quantum-verify magicsquare --swap-bob 0 7",
+                2,
+                "swap indices must be question indices",
+                "",
+            ),
+            ("omega {tmp}", 5, "[Errno 21] Is a directory: '{tmp}'", ""),
+            ("region {tmp} --restarts 1", 5, "[Errno 21] Is a directory: '{tmp}'", ""),
+            (
+                "region chsh --restarts 1 --out {tmp}/no/r.dat",
+                5,
+                "[Errno 2] No such file or directory: '{tmp}/no/r.dat'",
+                "",
+            ),
+            (
+                "sumrate-bound magicsquare --omega 8/9 --curve {tmp}/no/ub.dat",
+                5,
+                "[Errno 2] No such file or directory: '{tmp}/no/ub.dat'",
+                MAGIC_BOUND,
+            ),
+            (
+                "mac-export chsh --out {tmp}/no/x.mac",
+                5,
+                "[Errno 2] No such file or directory: '{tmp}/no/x.mac'",
+                "",
+            ),
+        ],
+    )
+    def test_exit_code_and_message(self, run, tmp_path, argv, code, err, out):
+        write_game(tmp_path, "junk\n", name="junk.game")
+        write_game(tmp_path, "mac 1 1 2\nnan nan\n", name="nan.mac")
+        write_game(tmp_path, "game 12 12 3 3\n", name="big.game")  # 3^12 tables
+        got = run(*(tok.format(tmp=tmp_path) for tok in argv.split()))
+        assert got == (code, out, f"error: {err.format(tmp=tmp_path)}\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["game 2 2 2 2\n0 0 0 0\n", "mac 1 1 2\n0.5 0.5\n"],
+        ids=["game", "mac"],
+    )
+    def test_leading_blank_lines_are_skipped(self, run, tmp_path, text):
+        # both file loaders skip blank lines, so the header sniff must too
+        plain = write_game(tmp_path, text, name="plain")
+        padded = write_game(tmp_path, "\n \n" + text, name="padded")
+        code, out, err = run("region", padded, "--restarts", "2")
+        assert (code, err) == (0, "")
+        assert out == run("region", plain, "--restarts", "2")[1]
+
+
 def child_env(**extra):
     """The parent's environment plus ``extra``, importing the gamemac under test.
 
