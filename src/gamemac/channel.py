@@ -22,7 +22,9 @@ import dataclasses
 
 import numpy as np
 
-from .games import Game, ProductStrategy, _frozen_distributions, losing_probability
+from .games import (
+    Game, ProductStrategy, _frozen_distributions, _text_lines, losing_probability,
+)
 
 
 class MacFormatError(ValueError):
@@ -289,8 +291,7 @@ def load_mac_file(path) -> Mac:
     and for a table that is not a channel (non-finite, negative or
     unnormalized entries).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in map(str.strip, fh) if ln]
+    lines = _text_lines(path, MacFormatError)
     if not lines:
         raise MacFormatError(f"{path}: empty channel file")
     head = lines[0].split()

@@ -475,6 +475,15 @@ BUILTIN_GAMES = {
 }
 
 
+def _text_lines(path, error: type[ValueError]) -> list[str]:
+    """The stripped non-blank lines of a UTF-8 file; raises ``error`` otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [ln for ln in map(str.strip, fh) if ln]
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
+
+
 def load_game_file(path) -> Game:
     """Load a game from its text format, applying promise-free conversion.
 
@@ -483,9 +492,7 @@ def load_game_file(path) -> Game:
     per winning tuple (0-based indices).  Absent tuples lose; question pairs
     outside a listed promise win automatically.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
+    lines = _text_lines(path, GameFormatError)
     if not lines:
         raise GameFormatError(f"{path}: empty game file")
     head = lines[0].split()

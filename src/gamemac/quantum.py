@@ -8,6 +8,10 @@ Tensor-product convention: Alice's index is the major (slow) index of the
 joint state vector, so amplitude ``psi[i * d_b + j]`` belongs to Alice basis
 state ``i`` and Bob basis state ``j``.  Every operator product written
 ``L (x) M`` follows this ordering.
+
+A strategy's correlation is contracted with two matrix products: the stacked
+``psi^dagger L psi`` over Alice's elements, then one GEMM of those
+``d_b x d_b`` blocks against Bob's elements.
 """
 
 from __future__ import annotations
@@ -160,13 +164,13 @@ def correlation(qs: QuantumStrategy) -> np.ndarray:
     raises and small negative noise is clamped to 0.  Each ``(x1, x2)`` slice
     sums to 1 within ``1e-10``.
     """
-    psi = qs.state.as_matrix()
+    psi = qs.state.as_matrix()  # (d_a, d_b)
     alice = np.stack([p.elements for p in qs.alice_povms])  # (nx1, ny1, d_a, d_a)
     bob = np.stack([p.elements for p in qs.bob_povms])  # (nx2, ny2, d_b, d_b)
-    # contract pairwise: one three-operand einsum loops over all seven indices
-    left = np.einsum("xpik,kl->xpil", alice, psi)
-    left = np.einsum("ij,xpil->xpjl", psi.conj(), left)
-    vals = np.einsum("xpjl,yqjl->xypq", left, bob)
+    # left[x, p, j, l] = sum_ik conj(psi[i, j]) L[x, p, i, k] psi[k, l]
+    left = psi.conj().T @ alice @ psi
+    vals = left.reshape(qs.nx1 * qs.ny1, -1) @ bob.reshape(qs.nx2 * qs.ny2, -1).T
+    vals = vals.reshape(qs.nx1, qs.ny1, qs.nx2, qs.ny2).transpose(0, 2, 1, 3)
     residue = np.abs(vals.imag).max()
     if residue > _IMAG_TOL:
         raise ValueError(f"correlation entry has imaginary residue {residue!r}")

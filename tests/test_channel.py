@@ -357,6 +357,12 @@ class TestMacFile:
         with pytest.raises(MacFormatError):
             load_mac_file(path)
 
+    def test_not_utf8_text(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"mac 1 1 1\n\xff\xfe\n")
+        with pytest.raises(MacFormatError, match="bad.txt: not UTF-8 text"):
+            load_mac_file(path)
+
     def test_wrong_row_count(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("mac 2 2 2\n0.5 0.5\n")

@@ -345,4 +345,5 @@ class TestQuantumProperties:
         expected = np.zeros((nx1, nx2, na, nb))
         for a1, b1, y1, y2 in np.ndindex(corr.shape):
             expected[a1, b1, post1[a1, y1], post2[b1, y2]] += corr[a1, b1, y1, y2]
-        assert np.abs(enc.p - expected).max() < 1e-12
+        # the encoding adds the same terms in the same (C) order: bit-identical
+        assert np.array_equal(enc.p, expected)
