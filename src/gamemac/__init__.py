@@ -9,7 +9,6 @@ capacity region.
 """
 
 from .capacity import (
-    EpsStarResult,
     InnerPoint,
     LsgRates,
     RegionBound,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,19 +92,6 @@ def binary_rel_entropy(x: float, y: float) -> float:
     return total
 
 
-class EpsStarResult(NamedTuple):
-    """Solution of the slack equation.
-
-    ``value`` is the crossing point; ``crossing`` is False when no crossing
-    exists in ``(0, 1 - omega)`` (possible once ``delta`` reaches
-    ``-log2(omega)``), in which case ``value`` is 0 and the sum-rate bound
-    degenerates to the trivial ``log d``.
-    """
-
-    value: float
-    crossing: bool
-
-
 def _crossing(gap, y: float) -> float:
     """Root of an increasing ``gap`` with ``gap(0) < 0 < gap(y)``.
 
@@ -121,26 +108,34 @@ def _crossing(gap, y: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_eps_star(delta: float, omega_u: float) -> EpsStarResult:
+def _slack_gap(delta: float, e: float, w: float) -> float:
+    """``(delta + h(e)) / (1 - e) - d(e || 1 - w)``, increasing in ``e``.
+
+    ``d`` is taken from ``w`` itself: ``1 - (1 - w)`` loses a small ``w``.
+    """
+    div = (1.0 - e) * (math.log2(1.0 - e) - math.log2(w))
+    if e > 0.0:
+        div += e * math.log2(e / (1.0 - w))
+    return (delta + binary_entropy(e)) / (1.0 - e) - div
+
+
+def solve_eps_star(delta: float, omega_u: float) -> float:
     """Solve ``(delta + h(e)) / (1 - e) = d(e || 1 - omega)`` for ``e``.
 
     The left side increases in ``e`` and the right side decreases on
     ``(0, 1 - omega)``, so for ``0 <= delta < -log2(omega)`` there is a
-    unique crossing, found by bisection to ``1e-12`` relative.
+    unique root, found by bisection to ``1e-12`` relative.  Returns 0 when
+    there is no root (once ``delta`` reaches ``-log2(omega)``); the sum-rate
+    bound there degenerates to the trivial ``log d``.
     """
     w = float(omega_u)
     if not 0.0 < w < 1.0:
         raise ValueError(f"omega must lie strictly between 0 and 1, got {w!r}")
     if not delta >= 0.0:
         raise ValueError(f"delta must be nonnegative, got {delta!r}")
-    y = 1.0 - w
-
-    def gap(e: float) -> float:
-        return (delta + binary_entropy(e)) / (1.0 - e) - binary_rel_entropy(e, y)
-
-    if gap(0.0) >= 0.0:
-        return EpsStarResult(0.0, False)
-    return EpsStarResult(_crossing(gap, y), True)
+    if delta >= -math.log2(w):  # the gap at e = 0, delta + log2(w), is >= 0
+        return 0.0
+    return _crossing(lambda e: _slack_gap(delta, e, w), 1.0 - w)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -195,13 +190,7 @@ def sum_rate_upper_bound(g: Game, omega_u) -> UpperBoundResult:
     log_d = _log_dim(g)
     if log_d == 0.0:
         raise ValueError("a 1 x 1 game has sum rate 0: no bound to optimize")
-    y = 1.0 - w
-
-    def gap(e: float) -> float:
-        lhs = (e * log_d + binary_entropy(e)) / (1.0 - e)
-        return lhs - binary_rel_entropy(e, y)
-
-    eps = _crossing(gap, y)
+    eps = _crossing(lambda e: _slack_gap(e * log_d, e, w), 1.0 - w)
     return UpperBoundResult(eps * log_d, eps, (1.0 - eps) * log_d, w)
 
 
@@ -217,7 +206,7 @@ def upper_bound_curve(g: Game, omega_u, points: int = 200) -> np.ndarray:
         raise ValueError(f"omega must lie in (0, 1), got {w!r}")
     log_d = _log_dim(g)
     deltas = np.linspace(0.0, -math.log2(w), points)
-    eps = np.array([solve_eps_star(d, w).value for d in deltas])
+    eps = np.array([solve_eps_star(d, w) for d in deltas])
     return np.column_stack([deltas, np.maximum((1.0 - eps) * log_d, log_d - deltas)])
 
 

@@ -26,6 +26,8 @@ EXIT_BUDGET = 3
 EXIT_DEGENERATE = 4
 EXIT_IO = 5
 
+_PASS_TOLERANCE = 1e-9  # quantum-verify passes at winning probabilities >= 1 - this
+
 
 def _int_at_least(text: str, low: int, kind: str) -> int:
     try:
@@ -43,23 +45,6 @@ def _positive_int(text: str) -> int:
 
 def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0, "nonnegative")
-
-
-def _tolerance(text: str) -> float:
-    try:
-        val = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 <= val < 1.0:  # false for nan too
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text}")
-    return val
-
-
-def _default_threads() -> int:
-    try:
-        return _positive_int(os.environ.get("GAMEMAC_THREADS", ""))
-    except argparse.ArgumentTypeError:
-        return os.cpu_count() or 1
 
 
 def _load_game(arg: str) -> games.Game:
@@ -86,15 +71,9 @@ def _load_game_or_mac(arg: str) -> channel.Mac:
     return channel.mac_from_game(_load_game(arg))
 
 
-def _brute_force(g: games.Game, args) -> games.BruteForceResult:
-    """Brute force on ``--threads`` workers, or GAMEMAC_THREADS."""
-    return games.omega_uniform_bruteforce(
-        g, budget=args.budget, workers=args.threads or _default_threads()
-    )
-
-
 def _cmd_omega(args) -> int:
-    result = _brute_force(_load_game(args.game), args)
+    g = _load_game(args.game)
+    result = games.omega_uniform_bruteforce(g, budget=args.budget, workers=args.threads)
     val = result.value
     print(f"omega_U = {val.numerator}/{val.denominator} (= {float(val):.6f})")
     print("alice answers by question:", " ".join(str(y) for y in result.alice))
@@ -118,7 +97,7 @@ def _cmd_quantum_verify(args) -> int:
     table = np.einsum("ijkl,ijkl->ij", g.win, corr)
     for row in table:
         print(" ".join(f"{v:.9f}" for v in row))
-    if table.min() < 1.0 - args.tolerance:
+    if table.min() < 1.0 - _PASS_TOLERANCE:
         print(
             f"verification FAILED: min winning probability {table.min():.9f}",
             file=sys.stderr,
@@ -142,7 +121,12 @@ def _cmd_sumrate_bound(args) -> int:
     if args.omega is not None:
         omega = _parse_omega(args.omega)
     else:
-        omega = _brute_force(g, args).value
+        omega = games.omega_uniform_bruteforce(
+            g, budget=args.budget, workers=args.threads
+        ).value
+    if omega == 0:
+        print("error: omega = 0: the game is never won, no bound", file=sys.stderr)
+        return EXIT_DEGENERATE
     if float(omega) == 1.0:
         print("error: omega = 1: no nontrivial bound", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -187,8 +171,8 @@ def _cmd_lsg_rates(args) -> int:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # Built once: parse_args keeps no state on the parser, and building it
-    # costs more than most commands.  --threads has no default here, so
-    # GAMEMAC_THREADS is read when a command runs (see _brute_force).
+    # costs more than most commands.
+    threads = os.cpu_count() or 1
     parser = argparse.ArgumentParser(
         prog="gamemac",
         description="Analyze multiple access channels built from two-player games.",
@@ -200,12 +184,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget", type=_positive_int, default=games.DEFAULT_ENUMERATION_BUDGET
     )
-    p.add_argument("--threads", type=_positive_int)
+    p.add_argument("--threads", type=_positive_int, default=threads)
     p.set_defaults(func=_cmd_omega)
 
     p = sub.add_parser("quantum-verify", help="check a built-in quantum strategy")
     p.add_argument("builtin", help="builtin strategy name (magicsquare)")
-    p.add_argument("--tolerance", type=_tolerance, default=1e-9)
     p.add_argument(
         "--swap-bob",
         nargs=2,
@@ -222,7 +205,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget", type=_positive_int, default=games.DEFAULT_ENUMERATION_BUDGET
     )
-    p.add_argument("--threads", type=_positive_int)
+    p.add_argument("--threads", type=_positive_int, default=threads)
     p.set_defaults(func=_cmd_sumrate_bound)
 
     p = sub.add_parser("region", help="inner bound on the capacity region")

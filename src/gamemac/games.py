@@ -447,11 +447,14 @@ def linear_system_game(a_matrix, b_vector) -> Game:
     on every promised pair.
 
     Args:
-        a_matrix: Binary m x n coefficient matrix; every row must be nonzero.
-        b_vector: Binary right-hand side of length m.
+        a_matrix: m x n bool or integer matrix, read mod 2; no row may be zero.
+        b_vector: Right-hand side of length m, entries as in ``a_matrix``.
     """
-    a = np.asarray(a_matrix, dtype=int) % 2
-    b = np.asarray(b_vector, dtype=int) % 2
+    a, b = np.asarray(a_matrix), np.asarray(b_vector)
+    for arr, what in ((a, "a_matrix"), (b, "b_vector")):
+        if arr.size and arr.dtype.kind not in "biu":
+            raise ValueError(f"{what} entries must be bool or integers")
+    a, b = a % 2, b % 2
     if a.ndim != 2:
         raise ValueError("coefficient matrix must be two-dimensional")
     m, n = a.shape

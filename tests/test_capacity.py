@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gamemac import (
     Mac,
@@ -57,6 +57,15 @@ def all_lose_game(nx1=2, nx2=2, ny1=2, ny2=2):
     return Game(nx1, nx2, ny1, ny2, np.zeros((nx1, nx2, ny1, ny2), dtype=bool))
 
 
+def loss_divergence(e, omega):
+    """``d(e || 1 - omega)`` in bits for ``0 < e < 1``, from ``omega`` itself.
+
+    ``1 - (1 - omega)`` would lose the low digits of a small ``omega``.
+    """
+    nats = e * math.log(e / (1 - omega)) + (1 - e) * (math.log1p(-e) - math.log(omega))
+    return nats / math.log(2)
+
+
 def xor_mac() -> Mac:
     p = np.zeros((2, 2, 2))
     for a in range(2):
@@ -101,21 +110,21 @@ class TestBinaryEntropy:
 
 class TestSolveEpsStar:
     def test_headline_operating_point(self):
-        res = solve_eps_star(0.03299, 8.0 / 9.0)
-        assert res.crossing
-        assert res.value == pytest.approx(0.01040, abs=1e-4)
+        eps = solve_eps_star(0.03299, 8.0 / 9.0)
+        assert eps > 0
+        assert eps == pytest.approx(0.01040, abs=1e-4)
 
     def test_residual_of_the_defining_equation(self):
         for delta in (0.001, 0.01, 0.03299, 0.1):
-            res = solve_eps_star(delta, 8.0 / 9.0)
-            lhs = (delta + binary_entropy(res.value)) / (1 - res.value)
-            rhs = binary_rel_entropy(res.value, 1.0 / 9.0)
+            eps = solve_eps_star(delta, 8.0 / 9.0)
+            lhs = (delta + binary_entropy(eps)) / (1 - eps)
+            rhs = binary_rel_entropy(eps, 1.0 / 9.0)
             assert abs(lhs - rhs) < 1e-9
 
     def test_grid_scan_oracle(self):
         # independent check: dense scan for the sign change of lhs - rhs
         delta, omega = 0.05, 0.75
-        eps = solve_eps_star(delta, omega).value
+        eps = solve_eps_star(delta, omega)
         grid = np.arange(1e-7, 0.25, 1e-7)
         h = -grid * np.log2(grid) - (1 - grid) * np.log2(1 - grid)
         lhs = (delta + h) / (1 - grid)
@@ -125,16 +134,31 @@ class TestSolveEpsStar:
 
     def test_monotone_decreasing_in_delta(self):
         values = [
-            solve_eps_star(d, 8.0 / 9.0).value for d in (0.0, 0.02, 0.05, 0.1, 0.15)
+            solve_eps_star(d, 8.0 / 9.0) for d in (0.0, 0.02, 0.05, 0.1, 0.15)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_vanishes_at_the_right_endpoint(self):
         d_max = -math.log2(8.0 / 9.0)
-        assert solve_eps_star(d_max - 1e-9, 8.0 / 9.0).value < 1e-6
-        res = solve_eps_star(d_max + 1e-6, 8.0 / 9.0)
-        assert not res.crossing
-        assert res.value == 0.0
+        assert 0 < solve_eps_star(d_max - 1e-9, 8.0 / 9.0) < 1e-6
+        assert solve_eps_star(d_max + 1e-6, 8.0 / 9.0) == 0.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        omega=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        frac=st.floats(0.0, 2.0),
+    )
+    @example(omega=5e-324, frac=1.5)  # 1 - omega rounds to 1
+    @example(omega=1e-10, frac=1 - 6e-11)  # 2e-9 below the end of the range
+    def test_root_exists_exactly_below_the_end_of_the_range(self, omega, frac):
+        d_max = -math.log2(omega)
+        delta = frac * d_max
+        assume(abs(delta - d_max) >= 1e-9)
+        eps = solve_eps_star(delta, omega)
+        assert (eps > 0) == (delta < d_max)
+        if eps > 0:
+            lhs = (delta + binary_entropy(eps)) / (1 - eps)
+            assert lhs == pytest.approx(loss_divergence(eps, omega), rel=1e-9, abs=1e-9)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -166,6 +190,15 @@ class TestSumRateUpperBound:
         res = sum_rate_upper_bound(g, omega)
         assert sum_rate_upper_bound(g, 1 - 1e-9).bound <= res.bound <= LOG9
 
+    def test_omega_whose_complement_rounds_to_one(self):
+        # 1 - 1e-20 rounds to 1.0; a relative entropy taken from it put eps*
+        # at 1 and the bound at 0
+        res = sum_rate_upper_bound(magic_square_game(), 1e-20)
+        e = res.eps_star
+        lhs = (res.delta_star + binary_entropy(e)) / (1 - e)
+        assert lhs == pytest.approx(loss_divergence(e, 1e-20), rel=1e-9)
+        assert 0 < res.bound < LOG9
+
     def test_omega_one_rejected(self):
         with pytest.raises(ValueError):
             sum_rate_upper_bound(magic_square_game(), Fraction(1, 1))
@@ -187,7 +220,7 @@ class TestSumRateUpperBound:
         g = all_lose_game(nx1, nx2)
         res = sum_rate_upper_bound(g, omega)
         assert res.bound <= upper_bound_curve(g, omega, 400)[:, 1].min() + 1e-12
-        eps = solve_eps_star(res.delta_star, omega).value
+        eps = solve_eps_star(res.delta_star, omega)
         assert eps == pytest.approx(res.eps_star, rel=1e-9)
 
     def test_bound_at_optimum_balances_branches(self):

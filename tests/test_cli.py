@@ -67,10 +67,6 @@ class TestOmega:
         assert code == 2
         assert err
 
-    def test_missing_file_exits_2(self, run):
-        code, _, err = run("omega", "/nonexistent/game.txt")
-        assert code == 2
-
     @pytest.mark.parametrize("command", ["omega", "sumrate-bound"])
     def test_nonpositive_budget_exits_2(self, command, capsys):
         # an input error, not an exceeded budget (exit 3)
@@ -87,6 +83,11 @@ class TestOmega:
                 main([command, "chsh", "--threads", value])
             assert exc.value.code == 2
             assert "positive integer" in capsys.readouterr().err
+
+    def test_threads_default_to_the_cpu_count(self, run, workers_seen):
+        code, out, _ = run("omega", "chsh")
+        assert code == 0 and "omega_U = 3/4" in out
+        assert workers_seen == [os.cpu_count() or 1]
 
 
 class TestQuantumVerify:
@@ -115,24 +116,6 @@ class TestQuantumVerify:
         assert code == 1
         cell = ["0.500000000" if c in (i, j) else "1.000000000" for c in range(3)]
         assert out == (" ".join(cell) + "\n") * 3
-
-    def test_loose_tolerance_flag(self, run):
-        code, _, _ = run("quantum-verify", "magicsquare", "--tolerance", "1e-6")
-        assert code == 0
-
-    def test_unknown_builtin_exits_2(self, run):
-        code, _, err = run("quantum-verify", "nosuchgame")
-        assert code == 2
-
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "1"])
-    def test_tolerance_outside_unit_interval_exits_2(self, capsys, tolerance):
-        # with the negative control, nan and inf would otherwise pass and -1
-        # would report a failed verification for what is an input error
-        argv = ["quantum-verify", "magicsquare", "--swap-bob", "0", "2"]
-        with pytest.raises(SystemExit) as exc:
-            main(argv + [f"--tolerance={tolerance}"])
-        assert exc.value.code == 2
-        assert "[0, 1)" in capsys.readouterr().err
 
 
 class TestSumrateBound:
@@ -273,10 +256,6 @@ class TestMacExport:
         mac = load_mac_file(out_path)
         assert (mac.p.max(axis=2) == 1.0).all()
 
-    def test_unwritable_path_exits_5(self, run):
-        code, _, err = run("mac-export", "chsh", "--out", "/nonexistent/dir/x.mac")
-        assert code == 5
-
 
 class TestLsgRates:
     def test_perfect_strategy_rates(self, run):
@@ -366,6 +345,12 @@ class TestExitCodes:
                 "",
             ),
             (
+                "sumrate-bound {tmp}/lose.game",
+                4,
+                "omega = 0: the game is never won, no bound",
+                "",
+            ),
+            (
                 "sumrate-bound magicsquare --omega 1/0",
                 2,
                 "cannot parse omega value '1/0'",
@@ -410,6 +395,7 @@ class TestExitCodes:
         write_game(tmp_path, "junk\n", name="junk.game")
         write_game(tmp_path, "mac 1 1 2\nnan nan\n", name="nan.mac")
         write_game(tmp_path, "game 12 12 3 3\n", name="big.game")  # 3^12 tables
+        write_game(tmp_path, "game 2 2 2 2\n", name="lose.game")  # no winning tuple
         (tmp_path / "latin1.game").write_bytes(b"\xff\xfe")
         got = run(*(tok.format(tmp=tmp_path) for tok in argv.split()))
         assert got == (code, out, f"error: {err.format(tmp=tmp_path)}\n")
@@ -428,13 +414,13 @@ class TestExitCodes:
         assert out == run("region", plain, "--restarts", "2")[1]
 
 
-def child_env(**extra):
-    """The parent's environment plus ``extra``, importing the gamemac under test.
+def child_env():
+    """The parent's environment, importing the gamemac under test.
 
     The directory this suite imported gamemac from goes first on PYTHONPATH,
     so the child runs the same code whether or not gamemac is installed.
     """
-    env = dict(os.environ, **extra)
+    env = dict(os.environ)
     root = str(Path(gamemac.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     return env
@@ -451,23 +437,6 @@ class TestConsoleEntry:
         assert proc.returncode == 0, proc.stderr
         assert "omega_U = 3/4" in proc.stdout
 
-    def test_env_var_thread_default(self, run, monkeypatch, workers_seen):
-        proc = subprocess.run(
-            [sys.executable, "-m", "gamemac", "omega", "chsh"],
-            capture_output=True,
-            text=True,
-            env=child_env(GAMEMAC_THREADS="2"),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "omega_U = 3/4" in proc.stdout
-
-        # A value other than the CPU count, so the fallback cannot pass for it.
-        threads = (os.cpu_count() or 1) + 1
-        monkeypatch.setenv("GAMEMAC_THREADS", str(threads))
-        code, out, _ = run("omega", "chsh")
-        assert code == 0 and "omega_U = 3/4" in out
-        assert workers_seen == [threads]
-
 
 class TestParserReuse:
     """``main`` reuses one parser; no call may see another call's arguments."""
@@ -479,16 +448,11 @@ class TestParserReuse:
         assert code == 0 and err == ""
         assert out == "1.000000000 1.000000000 1.000000000\n" * 3
 
-    def test_thread_default_is_read_on_every_call(self, run, monkeypatch, workers_seen):
-        for threads in (3, 5, 3):
-            monkeypatch.setenv("GAMEMAC_THREADS", str(threads))
-            code, out, _ = run("omega", "chsh")
-            assert code == 0 and "omega_U = 3/4" in out
-        assert workers_seen == [3, 5, 3]
-
-    def test_threads_flag_overrides_env(self, run, monkeypatch, workers_seen):
-        monkeypatch.setenv("GAMEMAC_THREADS", "3")
+    def test_threads_flag_reaches_the_brute_force(self, run, workers_seen):
+        # a count other than the default, which the next call must get back
+        threads = (os.cpu_count() or 1) + 1
         for argv in (("omega", "chsh"), ("sumrate-bound", "chsh")):
-            code, _, _ = run(*argv, "--threads", "2")
+            code, _, _ = run(*argv, "--threads", str(threads))
             assert code == 0
-        assert workers_seen == [2, 2]
+        assert run("omega", "chsh")[0] == 0
+        assert workers_seen == [threads, threads, os.cpu_count() or 1]

@@ -373,6 +373,15 @@ class TestLinearSystemGame:
         with pytest.raises(ValueError, match="at least one equation"):
             linear_system_game(np.zeros((0, 3), int), [])
 
+    def test_non_integer_entries_rejected(self):
+        # truncated, 0.7 would drop variable 0 and 0.6 would act as 0
+        with pytest.raises(ValueError, match="a_matrix"):
+            linear_system_game([[0.7, 1.0]], [1])
+        with pytest.raises(ValueError, match="b_vector"):
+            linear_system_game([[1, 1]], [0.6])
+        g = linear_system_game([[True, True]], [np.uint8(3)])  # read mod 2
+        assert (g.nx1, g.nx2, g.ny1, g.ny2) == (1, 2, 2, 2)
+
     def test_padded_answers_always_lose_on_promise(self):
         # rows of different support sizes force padding on the narrow row
         a = [[1, 1, 1], [1, 1, 0]]
