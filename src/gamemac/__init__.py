@@ -14,7 +14,6 @@ from .capacity import (
     RegionBound,
     UpperBoundResult,
     binary_entropy,
-    binary_rel_entropy,
     inner_bound,
     lsg_rates,
     solve_eps_star,

@@ -30,13 +30,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import (
-    Mac, Pentagon, ProductInput, _log2, _rates, _row_entropies, _Workspace, pentagon
-)
+from .channel import Mac, ProductInput, _log2, _rates, _row_entropies, _Workspace, pentagon
 from .games import Game
 
 _INV_LN2 = 1.0 / math.log(2.0)
@@ -67,29 +65,6 @@ def binary_entropy(x: float) -> float:
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
-def binary_rel_entropy(x: float, y: float) -> float:
-    """Relative entropy in bits between coins with biases ``x`` and ``y``.
-
-    ``d(x || y) = x log2(x/y) + (1-x) log2((1-x)/(1-y))``, with the usual
-    conventions: terms with ``x = 0`` or ``x = 1`` vanish, and a boundary
-    ``y`` mismatching ``x`` gives ``+inf``.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary_rel_entropy needs x in [0, 1], got {x!r}")
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"binary_rel_entropy needs y in [0, 1], got {y!r}")
-    total = 0.0
-    if x > 0.0:
-        if y == 0.0:
-            return math.inf
-        total += x * math.log2(x / y)
-    if x < 1.0:
-        if y == 1.0:
-            return math.inf
-        total += (1.0 - x) * math.log2((1.0 - x) / (1.0 - y))
-    return total
 
 
 def _crossing(gap, y: float) -> float:
@@ -214,28 +189,22 @@ def upper_bound_curve(g: Game, omega_u, points: int = 200) -> np.ndarray:
 # inner bounds by weighted-vertex scalarization
 
 
-@dataclasses.dataclass(frozen=True)
-class InnerPoint:
-    """An achievable rate pair with its witnessing input distribution.
+class InnerPoint(NamedTuple):
+    """An achievable rate pair: one pentagon corner at one optimizer run.
 
-    ``gap`` is the larger of the two block Frank–Wolfe gaps of the weighted
-    objective at ``input``: with either sender fixed, the other can raise it
-    by at most ``gap`` bits.  ``converged`` means ``gap <= _GAP_TOL``; a run
-    stopped at ``_MAX_SWEEPS`` before that has ``gap = inf``.  The rate pair
-    is achievable either way.
+    The run is weight ``mu_index`` and restart ``restart``.  ``gap`` is the
+    larger of the two block Frank–Wolfe gaps of the weighted objective at
+    the run's input: with either sender fixed, the other can raise it by at
+    most ``gap`` bits.  A gap of at most ``_GAP_TOL`` certifies the run; a
+    run stopped at ``_MAX_SWEEPS`` before that has ``gap = inf``.  The rate
+    pair is achievable either way.
     """
 
     r1: float
     r2: float
-    input: ProductInput
-    corner: str
     mu_index: int
     restart: int
     gap: float
-
-    @property
-    def converged(self) -> bool:
-        return self.gap <= _GAP_TOL
 
 
 @dataclasses.dataclass(frozen=True)
@@ -243,12 +212,16 @@ class RegionBound:
     """An inner-bound boundary of a rate region, from the R1 axis to the R2 axis.
 
     ``vertices`` is a convex chain with R1 nonincreasing and R2 nondecreasing;
-    ``witnesses`` records every evaluated pentagon corner with the input
-    distribution achieving it.
+    ``witnesses`` records every evaluated pentagon corner.  Row
+    ``row = mu_index * restarts + restart`` of the read-only ``pa`` and
+    ``pb`` is the product input of witnesses ``2 * row`` (the r1-priority
+    corner) and ``2 * row + 1`` (the r2-priority corner).
     """
 
     vertices: tuple[tuple[float, float], ...]
     witnesses: tuple[InnerPoint, ...]
+    pa: np.ndarray
+    pb: np.ndarray
 
     def __post_init__(self):
         if not self.vertices:
@@ -628,7 +601,9 @@ def inner_bound(
     axis, is traced by :func:`_boundary_chain`.
 
     Deterministic for a fixed seed, ``restarts`` and ``mu_points``; results
-    are merged in (weight, restart) order.
+    are merged in (weight, restart) order, the order of the runs' inputs in
+    the region's ``pa`` and ``pb`` (see :class:`RegionBound`).  A run whose
+    rates break a pentagon inequality raises ``ValueError``.
 
     Args:
         n: The channel.
@@ -643,20 +618,21 @@ def inner_bound(
     if mu_points < 1:
         raise ValueError("mu_points must be >= 1")
     pa, pb, rates, gaps = _solve(n, np.linspace(0.0, 1.0, mu_points), seed, restarts)
-    witnesses = []
-    for row, (rate, gap) in enumerate(zip(rates.tolist(), gaps.tolist())):
-        tag, r = divmod(row, restarts)
-        q = ProductInput(pa[row], pb[row])
-        pent = Pentagon(*rate)
-        r1, r2 = pent.r1_max, pent.r2_max
-        witnesses.append(
-            InnerPoint(r1, max(pent.sum_max - r1, 0.0), q, "r1-priority", tag, r, gap)
-        )
-        witnesses.append(
-            InnerPoint(max(pent.sum_max - r2, 0.0), r2, q, "r2-priority", tag, r, gap)
-        )
+    r1, r2, s = rates.T
+    fits = (np.minimum(r1, r2) >= 0.0) & (np.maximum(r1, r2) <= s + 1e-12)
+    fits &= s <= r1 + r2 + 1e-9
+    if not fits.all():
+        row = np.argmin(fits)
+        raise ValueError(f"row {row}: pentagon rates need 0 <= r1, r2 <= sum <= r1 + r2")
+    corners = np.stack([r1, np.maximum(s - r1, 0.0), np.maximum(s - r2, 0.0), r2], axis=1)
+    tags, starts = np.divmod(np.arange(len(rates)).repeat(2), restarts)
+    witnesses = tuple(map(
+        InnerPoint, *corners.reshape(-1, 2).T.tolist(), tags.tolist(), starts.tolist(),
+        gaps.repeat(2).tolist(),
+    ))
     chain = _boundary_chain([(w.r1, w.r2) for w in witnesses])
-    return RegionBound(tuple(chain), tuple(witnesses))
+    pa.flags.writeable = pb.flags.writeable = False
+    return RegionBound(tuple(chain), witnesses, pa, pb)
 
 
 def sum_capacity_lower_bound(

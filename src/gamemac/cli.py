@@ -148,8 +148,9 @@ def _cmd_region(args) -> int:
         capacity.write_region_dat(args.out, region)
     best = max(region.witnesses, key=lambda w: (w.r1 + w.r2, -w.mu_index, -w.restart))
     print(f"best sum rate = {best.r1 + best.r2:.6f}")
-    print("pA =", " ".join(f"{v:.6f}" for v in best.input.p_a))
-    print("pB =", " ".join(f"{v:.6f}" for v in best.input.p_b))
+    row = best.mu_index * args.restarts + best.restart
+    print("pA =", " ".join(f"{v:.6f}" for v in region.pa[row]))
+    print("pB =", " ".join(f"{v:.6f}" for v in region.pb[row]))
     return EXIT_OK
 
 

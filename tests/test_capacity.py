@@ -12,7 +12,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from gamemac import (
     Mac,
     binary_entropy,
-    binary_rel_entropy,
     chsh_game,
     inner_bound,
     lsg_rates,
@@ -82,30 +81,9 @@ class TestBinaryEntropy:
         assert binary_entropy(0.0) == 0.0
         assert binary_entropy(1.0) == 0.0
 
-    def test_rel_entropy_vanishes_on_diagonal(self):
-        for x in (0.01, 0.25, 0.5, 0.9):
-            assert binary_rel_entropy(x, x) == pytest.approx(0.0, abs=1e-15)
-
-    def test_rel_entropy_value(self):
-        # direct formula evaluation at the operating point of the headline game
-        x, y = 0.0104, 1.0 / 9.0
-        expected = x * math.log2(x / y) + (1 - x) * math.log2((1 - x) / (1 - y))
-        assert expected == pytest.approx(0.117692, abs=1e-6)
-        assert binary_rel_entropy(x, y) == pytest.approx(expected, abs=1e-15)
-
-    def test_rel_entropy_infinite_off_boundary(self):
-        assert binary_rel_entropy(0.5, 0.0) == math.inf
-        assert binary_rel_entropy(0.5, 1.0) == math.inf
-        assert binary_rel_entropy(0.0, 0.0) == 0.0
-        assert binary_rel_entropy(1.0, 1.0) == 0.0
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             binary_entropy(1.5)
-        with pytest.raises(ValueError):
-            binary_rel_entropy(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            binary_rel_entropy(0.5, 1.2)
 
 
 class TestSolveEpsStar:
@@ -118,7 +96,7 @@ class TestSolveEpsStar:
         for delta in (0.001, 0.01, 0.03299, 0.1):
             eps = solve_eps_star(delta, 8.0 / 9.0)
             lhs = (delta + binary_entropy(eps)) / (1 - eps)
-            rhs = binary_rel_entropy(eps, 1.0 / 9.0)
+            rhs = loss_divergence(eps, 8.0 / 9.0)
             assert abs(lhs - rhs) < 1e-9
 
     def test_grid_scan_oracle(self):
@@ -448,11 +426,12 @@ class TestGapCertificate:
         ws = _Workspace(n)
         mus = np.linspace(0.0, 1.0, 5)
         region = inner_bound(n, restarts=restarts, seed=seed, mu_points=5)
-        assert any(w.converged for w in region.witnesses)
+        assert any(w.gap <= capacity._GAP_TOL for w in region.witnesses)
         for w in region.witnesses:
-            if not w.converged:
+            if w.gap > capacity._GAP_TOL:
                 continue
-            pa, pb = w.input.p_a[None, :], w.input.p_b[None, :]
+            row = w.mu_index * restarts + w.restart
+            pa, pb = region.pa[row : row + 1], region.pb[row : row + 1]
             coeffs = _vertex_coeffs(mus[w.mu_index : w.mu_index + 1])
             worst = max(g[0] for g in _block_gaps(ws, pa, pb, coeffs))
             assert worst <= capacity._GAP_TOL
@@ -632,7 +611,7 @@ class TestBatchedSolve:
         # every run ends with both block gaps certified within _GAP_TOL
         region = inner_bound(mac_from_game(chsh_game()), restarts=4, seed=1,
                              mu_points=9)
-        assert all(w.converged for w in region.witnesses)
+        assert all(w.gap <= capacity._GAP_TOL for w in region.witnesses)
 
     def test_exact_block_solves_only_in_the_first_two_sweeps(self):
         # sweeps 0 and 1 give each block 20 BA steps, every later sweep 5
@@ -657,7 +636,7 @@ class TestBatchedSolve:
         region = inner_bound(
             mac_from_game(magic_square_game()), restarts=16, mu_points=17, seed=0
         )
-        assert all(w.converged for w in region.witnesses)
+        assert all(w.gap <= capacity._GAP_TOL for w in region.witnesses)
         mus = np.linspace(0.0, 1.0, 17)
         value = np.full((17, 16), -np.inf)
         for w in region.witnesses:
@@ -671,7 +650,7 @@ class TestBatchedSolve:
         n = mac_from_game(chsh_game())
         with mock.patch.object(capacity, "_MAX_SWEEPS", 1):
             region = inner_bound(n, restarts=4, seed=1, mu_points=9)
-        assert not any(w.converged for w in region.witnesses)
+        assert not any(w.gap <= capacity._GAP_TOL for w in region.witnesses)
         assert all(w.gap == math.inf for w in region.witnesses)
 
     def test_rejects_empty_weight_grid(self):
@@ -803,23 +782,37 @@ class TestInnerBound:
     def test_every_witness_is_achievable(self):
         n = mac_from_game(chsh_game())
         region = inner_bound(n, restarts=4, seed=7, mu_points=9)
-        for w in region.witnesses:
-            pent = pentagon(n, w.input)
-            if w.corner == "r1-priority":
+        for i, w in enumerate(region.witnesses):
+            # witnesses 2 row and 2 row + 1 are the two corners at input row
+            row = i // 2
+            assert (w.mu_index, w.restart) == divmod(row, 4)
+            pent = pentagon(n, ProductInput(region.pa[row], region.pb[row]))
+            if i % 2 == 0:
                 again = (pent.r1_max, max(pent.sum_max - pent.r1_max, 0.0))
             else:
                 again = (max(pent.sum_max - pent.r2_max, 0.0), pent.r2_max)
             assert w.r1 == pytest.approx(again[0], abs=1e-9)
             assert w.r2 == pytest.approx(again[1], abs=1e-9)
 
-    def test_deterministic_for_fixed_seed_and_workers(self):
+    def test_deterministic_for_fixed_seed(self):
         n = mac_from_game(chsh_game())
         a = inner_bound(n, restarts=6, seed=3, mu_points=7)
         b = inner_bound(n, restarts=6, seed=3, mu_points=7)
         assert a.vertices == b.vertices
-        assert [(w.r1, w.r2) for w in a.witnesses] == [
-            (w.r1, w.r2) for w in b.witnesses
-        ]
+        assert a.witnesses == b.witnesses
+        for x, y in ((a.pa, b.pa), (a.pb, b.pb)):
+            assert x.shape[0] == 7 * 6
+            assert x.tobytes() == y.tobytes()
+            assert not x.flags.writeable
+
+    def test_pentagon_inequalities_are_checked_on_every_row(self):
+        # rows whose rates no pentagon has (here sum > r1 + r2) are refused
+        n = mac_from_game(chsh_game())
+        pa, pb, rates, gaps = capacity._solve(n, [0.0, 1.0], 0, 2)
+        rates[3, 2] = rates[3, 0] + rates[3, 1] + 1e-6
+        with mock.patch.object(capacity, "_solve", return_value=(pa, pb, rates, gaps)):
+            with pytest.raises(ValueError, match="row 3"):
+                inner_bound(n, restarts=2, mu_points=2)
 
     def test_vertices_form_monotone_chain(self):
         region = inner_bound(mac_from_game(chsh_game()), restarts=4, seed=0,

@@ -187,6 +187,31 @@ class TestRegion:
         assert out1 == out2
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_best_input_follows_the_tie_rule(self, run, monkeypatch):
+        # highest r1 + r2, then lowest weight index, then lowest restart; the
+        # r1-priority corner comes before the r2-priority one, and both share
+        # their row's input.  Rows 7, 8 and 15 (weight 2 restart 1, weight 2
+        # restart 2, weight 5 restart 0) tie at the top sum 0.75.
+        rows, restarts = 65 * 3, 3
+        rng = np.random.default_rng(0)
+        n = mac_from_game(gamemac.chsh_game())
+        pa, pb = rng.dirichlet(np.ones(n.na), rows), rng.dirichlet(np.ones(n.nb), rows)
+        rates = np.tile([0.25, 0.25, 0.375], (rows, 1))
+        rates[[7, 8, 15]] = [0.5, 0.5, 0.75]
+        monkeypatch.setattr(
+            cli.capacity, "_solve", lambda *_: (pa, pb, rates, np.zeros(rows))
+        )
+        code, out, _ = run("region", "chsh", "--restarts", str(restarts))
+
+        def line(name, p):
+            return f"{name} = " + " ".join(f"{v:.6f}" for v in p)
+
+        assert code == 0
+        assert out.splitlines() == [
+            "best sum rate = 0.750000", line("pA", pa[7]), line("pB", pb[7])
+        ]
+        assert len({line("pA", pa[r]) for r in (7, 8, 15)}) == 3
+
     def test_threads_flag_is_rejected(self):
         # the region is one batch in one process; --threads is for brute force
         with pytest.raises(SystemExit) as exc:
