@@ -73,8 +73,10 @@ class PureState:
 class Povm:
     """A positive operator-valued measure on one local system.
 
-    Elements must be finite, Hermitian, positive semidefinite up to ``-1e-10``
-    eigenvalue slack, and sum to the identity within ``1e-10`` entrywise.
+    Elements must be finite, at least 1 x 1 and Hermitian within ``1e-10``;
+    each ``E + 1e-10 I`` must be positive definite (every eigenvalue of ``E``
+    above ``-1e-10``, tested by one Cholesky factorization of the stack); and
+    the elements must sum to the identity within ``1e-10`` entrywise.
 
     Attributes:
         elements: Read-only complex array of shape ``(k, d, d)``;
@@ -90,15 +92,18 @@ class Povm:
             raise ValueError("POVM elements must be square and same-sized") from exc
         if len(stack) == 0:
             raise ValueError("a POVM needs at least one element")
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            raise ValueError("POVM elements must be square and same-sized")
+        if stack.ndim != 3 or not 0 < stack.shape[1] == stack.shape[2]:
+            raise ValueError("POVM elements must be square, same-sized and at least 1 x 1")
         if not np.isfinite(stack).all():
             raise ValueError("POVM elements must be finite")
         if np.abs(stack - stack.conj().transpose(0, 2, 1)).max() > _HERM_TOL:
             raise ValueError("POVM element is not Hermitian")
-        if np.linalg.eigvalsh(stack).min() < _PSD_TOL:
-            raise ValueError("POVM element is not positive semidefinite")
-        if np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])).max() > _SUM_TOL:
+        eye = np.eye(stack.shape[1])
+        try:
+            np.linalg.cholesky(stack - _PSD_TOL * eye)
+        except np.linalg.LinAlgError:
+            raise ValueError("POVM element is not positive semidefinite") from None
+        if np.abs(stack.sum(axis=0) - eye).max() > _SUM_TOL:
             raise ValueError("POVM elements do not sum to the identity")
         stack.setflags(write=False)
         object.__setattr__(self, "elements", stack)

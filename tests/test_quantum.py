@@ -51,26 +51,52 @@ class TestValidation:
     def test_povm_sum_deviation_rejected(self):
         eye = np.eye(2)
         bad = [np.outer(eye[0], eye[0]) * (1 + 1e-6), np.outer(eye[1], eye[1])]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="do not sum to the identity"):
             Povm(bad)
 
     def test_povm_negative_element_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
             Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
 
     def test_povm_non_hermitian_rejected(self):
         el = np.array([[0.5, 0.5], [0.0, 0.5]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not Hermitian"):
             Povm([el, np.eye(2) - el])
 
     @pytest.mark.parametrize(
-        "elements",
-        [[], [np.eye(2), np.zeros((3, 3))], [np.eye(2, 3)]],
-        ids=["empty", "mixed_sizes", "non_square"],
+        "elements, match",
+        [
+            ([], "at least one element"),
+            ([np.eye(2), np.zeros((3, 3))], "square and same-sized"),
+            ([np.eye(2, 3)], "square, same-sized"),
+            ([np.zeros((0, 0))], "at least 1 x 1"),
+        ],
+        ids=["empty", "mixed_sizes", "non_square", "zero_dim"],
     )
-    def test_povm_malformed_element_list_rejected(self, elements):
-        with pytest.raises(ValueError):
+    def test_povm_malformed_element_list_rejected(self, elements, match):
+        with pytest.raises(ValueError, match=match):
             Povm(elements)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 8),
+        delta=st.one_of(st.floats(0.0, 5e-11), st.floats(2e-10, 1e-3)),
+    )
+    def test_povm_psd_slack_boundary(self, seed, d, delta):
+        """``U diag(-delta, ...) U^H`` passes at delta <= 5e-11, fails at >= 2e-10."""
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        lam = np.concatenate([[-delta], rng.uniform(0.0, 1.0, d - 1)])
+        el = (u * lam) @ u.conj().T
+        stack = [el, np.eye(d) - el][:: rng.choice([1, -1])]
+        accepted = np.linalg.eigvalsh(np.array(stack)).min() >= -1e-10
+        assert accepted == (delta <= 5e-11)
+        if accepted:
+            Povm(stack)
+        else:
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                Povm(stack)
 
     @pytest.mark.parametrize(
         "amplitudes, d_a, d_b",
