@@ -13,11 +13,13 @@ Three families of results live here:
 * a randomized inner bound on the capacity region, tracing the boundary by
   maximizing weighted pentagon vertices over product input distributions
   with alternating Blahut–Arimoto block updates stopped on a Frank–Wolfe gap:
-  20 updates a block solve it nearly exactly in the first two sweeps, which
-  decide the optimum a restart climbs, and every later sweep takes 5, an
-  inexact block step that still never lowers the objective; the alternation
-  is shortened by a SQUAREM extrapolation after every second sweep that is
-  kept only where it stays feasible and raises the objective;
+  the first two sweeps take 20 updates a block, which pick the local optimum
+  a restart climbs without solving the block (gaps up to 1e-2 remain), and
+  every later sweep takes 5, an inexact block step that still never lowers
+  the objective (measured, not proved, on the sum-rate weight, whose step is
+  over-relaxed); the alternation is shortened by a SQUAREM extrapolation
+  after every second sweep that is kept only where it stays feasible and
+  raises the objective;
 * closed-form achievable rates for channels built from linear-system games
   (the games themselves are built in :mod:`gamemac.games`).
 
@@ -40,11 +42,14 @@ from .games import Game
 _INV_LN2 = 1.0 / math.log(2.0)
 
 # Optimizer schedule: the first _EXACT_SWEEPS sweeps give each block _BA_STEPS
-# Blahut–Arimoto updates, which solve it nearly exactly; these sweeps decide
-# which local optimum a restart climbs.  Every later sweep gives each block
+# Blahut–Arimoto updates.  They do not solve it (on the 64-restart parity
+# channel at mu = 1/2 and seed 0, the first sender's median gaps after them
+# are 1e-2 in sweep 0 and 4e-4 in sweep 1, against _GAP_TOL = 1e-5); they
+# pick which local optimum a restart climbs.  Every later sweep gives each block
 # _LATE_BA_STEPS updates, an inexact block step that still never lowers the
-# objective.  Sweeps run until both block gaps are at most _GAP_TOL, or
-# _MAX_SWEEPS sweeps; see _ascend_block and _alternate.
+# objective (measured, not proved, at mu = 1/2).  Sweeps run until both block
+# gaps are at most _GAP_TOL, or _MAX_SWEEPS sweeps; see _ascend_block and
+# _alternate.
 _BA_STEPS = 20
 _EXACT_SWEEPS = 2
 _LATE_BA_STEPS = 5
@@ -52,6 +57,7 @@ _GAP_TOL = 1e-5
 _MAX_SWEEPS = 2000
 _REVIVE = 1e-8
 _WEIGHT_FLOOR = 1e-300  # least block weight a BA step divides by
+_SUM_RATE_STEP = 1.5  # over-relaxed BA exponent on the sum-rate rows
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +293,8 @@ class _BlockContext:
         na, self.nb, self.nz = len(self.chan_flat), pb.shape[1], ws.nz
         alpha, beta, gamma, kappa = coeffs
         self.pb, self.alpha, self.beta, self.weight = pb, alpha, beta, alpha + beta
+        # the sum-rate rows (mu = 1/2), and only they, take the relaxed BA step
+        self.step = np.where((beta == 0.0) & (gamma == 0.0), _SUM_RATE_STEP, 1.0)
         self.rows_a, self.rows_b = _span(alpha), _span(beta)
         self.cond_a = (pb @ ws.flat[1 - side]).reshape(len(pb), na, self.nz)
         # the noise-floor term, linear in pa
@@ -359,6 +367,21 @@ def _ascend_block(pa, ctx: _BlockContext, hold, steps: int):
     per row of ``pa``.  Rows with ``alpha + beta = 0`` have a linear
     objective and move to the vertex of their largest gradient entry.
 
+    The sum-rate rows (``mu = 1/2``: ``beta = gamma = 0``, so only
+    ``alpha H(Z)`` is left) take the over-relaxed step
+    ``p <- p 2^(lambda grad / (alpha + beta))`` with ``lambda =
+    _SUM_RATE_STEP = 3/2`` (Matz & Duhamel, ITW 2004); every other row keeps
+    ``lambda = 1``, bit for bit.  On the 64-restart sum capacity it cut the
+    sweeps a call from 63 to 53 on the parity channel and from 40 to 35 on
+    the magic square, with the same best values; on every weight it more
+    than doubled the slowest region solves, and ``lambda = 1.8`` doubled the
+    parity sweeps.  A single relaxed step can lower the objective: on a
+    noiseless channel the plain step lands on the optimum and the relaxed
+    one overshoots it, to ``p^(-1/2)``.  That a relaxed block ascent of
+    ``_LATE_BA_STEPS`` or ``_BA_STEPS`` steps never ends lower is measured
+    (on 144,000 random rows, 20 ascents each), not proved.  The certificate
+    does not rest on it: a row certifies on gaps measured where it stops.
+
     A row's Frank–Wolfe gap ``max_a grad_a - p . grad`` at the incoming
     ``pa`` bounds what its block can still gain.  Rows in the boolean array
     ``hold`` with a gap within ``_GAP_TOL`` stay put; the others take
@@ -405,7 +428,7 @@ def _ascend_block(pa, ctx: _BlockContext, hold, steps: int):
     ba = move & (weight != 0.0)
     if not ba.any():
         return pa, gap
-    div = np.where(ba, np.maximum(weight, _WEIGHT_FLOOR), np.inf)[:, None]
+    div = (np.where(ba, np.maximum(weight, _WEIGHT_FLOOR), np.inf) / ctx.step)[:, None]
     p, g = pa, grad
     for step in range(steps):
         if step or (starved & ba).any():
@@ -468,13 +491,15 @@ def _alternate(pa, pb, ws: _Workspace, coeffs):
     Each sweep ascends the first sender's block, then the second's, with
     ``_BA_STEPS`` Blahut–Arimoto updates a block in the first
     ``_EXACT_SWEEPS`` sweeps and ``_LATE_BA_STEPS`` in every later one.  The
-    nearly exact early solves decide which local optimum a row climbs; after
-    them an exact solve is wasted work, since the other block moves at once,
-    and a short block step still never lowers the objective.  A block is
-    held only when its gap and the other block's last gap are both within
-    ``_GAP_TOL`` (holding it sooner can strand mass that keeps the other
-    block creeping); a row stops in the first sweep that holds both, so its
-    two gaps are measured at the returned ``(pa, pb)``.
+    long early steps do not solve a block (its gap stays far above
+    ``_GAP_TOL``), but they pick which local optimum a row climbs; after
+    them a long block solve is wasted work, since the other block moves at
+    once, and a short block step still never lowers the objective (at
+    ``mu = 1/2`` this is measured, not proved; see :func:`_ascend_block`).
+    A block is held only when its gap and the other block's last gap are
+    both within ``_GAP_TOL`` (holding it sooner can strand mass that keeps
+    the other block creeping); a row stops in the first sweep that holds
+    both, so its two gaps are measured at the returned ``(pa, pb)``.
 
     The two blocks zigzag, so an open row's gaps can shrink by only a few
     percent a sweep.  After every second sweep each row still open tries a
