@@ -14,12 +14,12 @@ Three families of results live here:
   maximizing weighted pentagon vertices over product input distributions
   with alternating Blahut–Arimoto block updates stopped on a Frank–Wolfe gap:
   the first two sweeps take 20 updates a block, which pick the local optimum
-  a restart climbs without solving the block (gaps up to 1e-2 remain), and
-  every later sweep takes 5, an inexact block step that still never lowers
-  the objective (measured, not proved, on the sum-rate weight, whose step is
-  over-relaxed); the alternation is shortened by a SQUAREM extrapolation
-  after every second sweep that is kept only where it stays feasible and
-  raises the objective;
+  a restart climbs without solving the block, and every later sweep takes
+  5, an inexact block step that still never lowers the objective (on the
+  sum-rate weight the steps are over-relaxed, and an ascent that is not
+  shown to climb is replaced by one plain step); the alternation is
+  shortened by a SQUAREM extrapolation after every second sweep that is
+  kept only where it stays feasible and raises the objective;
 * closed-form achievable rates for channels built from linear-system games
   (the games themselves are built in :mod:`gamemac.games`).
 
@@ -42,14 +42,11 @@ from .games import Game
 _INV_LN2 = 1.0 / math.log(2.0)
 
 # Optimizer schedule: the first _EXACT_SWEEPS sweeps give each block _BA_STEPS
-# Blahut–Arimoto updates.  They do not solve it (on the 64-restart parity
-# channel at mu = 1/2 and seed 0, the first sender's median gaps after them
-# are 1e-2 in sweep 0 and 4e-4 in sweep 1, against _GAP_TOL = 1e-5); they
-# pick which local optimum a restart climbs.  Every later sweep gives each block
-# _LATE_BA_STEPS updates, an inexact block step that still never lowers the
-# objective (measured, not proved, at mu = 1/2).  Sweeps run until both block
-# gaps are at most _GAP_TOL, or _MAX_SWEEPS sweeps; see _ascend_block and
-# _alternate.
+# Blahut–Arimoto updates.  They do not solve it (its gaps stay far above
+# _GAP_TOL); they pick which local optimum a restart climbs.  Every later sweep
+# gives each block _LATE_BA_STEPS updates, an inexact block step that still
+# never lowers the objective.  Sweeps run until both block gaps are at most
+# _GAP_TOL, or _MAX_SWEEPS sweeps; see _ascend_block and _alternate.
 _BA_STEPS = 20
 _EXACT_SWEEPS = 2
 _LATE_BA_STEPS = 5
@@ -58,6 +55,7 @@ _MAX_SWEEPS = 2000
 _REVIVE = 1e-8
 _WEIGHT_FLOOR = 1e-300  # least block weight a BA step divides by
 _SUM_RATE_STEP = 1.5  # over-relaxed BA exponent on the sum-rate rows
+_FALL_TOL = 1e-13  # rounding allowed in the checks of a relaxed ascent
 
 
 # ---------------------------------------------------------------------------
@@ -361,26 +359,33 @@ def _ascend_block(pa, ctx: _BlockContext, hold, steps: int):
 
     With the other sender frozen the objective is
     ``alpha I(A;Z) + beta I(A;Z|B)`` plus a term linear in ``pa``, so it is
-    concave and the multiplicative update ``p <- p 2^(grad / (alpha + beta))``
-    (normalized per row, with each row's own ``alpha + beta``) climbs it
-    monotonically with no step size; ``ctx`` holds one set of coefficients
-    per row of ``pa``.  Rows with ``alpha + beta = 0`` have a linear
-    objective and move to the vertex of their largest gradient entry.
+    concave, and the plain multiplicative update
+    ``p <- p 2^(grad / (alpha + beta))`` (normalized per row, with each
+    row's own ``alpha + beta``) climbs it monotonically with no step size:
+    the objective gains at least ``(alpha + beta) ((p' - p) . y - D(p' || p))``
+    with ``y = (grad - max grad) / (alpha + beta)``, since the output
+    divergence the step gives up is at most the input one, and for the
+    plain ``p'`` that is ``log2 Z - p . y >= 0`` (Jensen), ``Z`` the step's
+    normalizer.  ``ctx`` holds one set of coefficients per row of ``pa``.
+    Rows with ``alpha + beta = 0`` have a linear objective and move to the
+    vertex of their largest gradient entry.
 
     The sum-rate rows (``mu = 1/2``: ``beta = gamma = 0``, so only
     ``alpha H(Z)`` is left) take the over-relaxed step
-    ``p <- p 2^(lambda grad / (alpha + beta))`` with ``lambda =
-    _SUM_RATE_STEP = 3/2`` (Matz & Duhamel, ITW 2004); every other row keeps
-    ``lambda = 1``, bit for bit.  On the 64-restart sum capacity it cut the
-    sweeps a call from 63 to 53 on the parity channel and from 40 to 35 on
-    the magic square, with the same best values; on every weight it more
-    than doubled the slowest region solves, and ``lambda = 1.8`` doubled the
-    parity sweeps.  A single relaxed step can lower the objective: on a
-    noiseless channel the plain step lands on the optimum and the relaxed
-    one overshoots it, to ``p^(-1/2)``.  That a relaxed block ascent of
-    ``_LATE_BA_STEPS`` or ``_BA_STEPS`` steps never ends lower is measured
-    (on 144,000 random rows, 20 ascents each), not proved.  The certificate
-    does not rest on it: a row certifies on gaps measured where it stops.
+    ``p' ∝ p 2^(lambda y)`` with ``lambda = ctx.step = _SUM_RATE_STEP``
+    (Matz & Duhamel, ITW 2004), which needs fewer steps to converge; every
+    other row keeps ``lambda = 1``, bit for bit.  A relaxed step can
+    overshoot: on a noiseless channel the plain step lands on the optimum
+    and the relaxed one goes past it, to ``p^(-1/2)``, and lowers the
+    objective.  So a relaxed ascent is checked at its last step.  At a
+    normalized ``p`` a row's objective is ``p . grad + (alpha + beta) /
+    ln 2``, so that step's gradient tells whether the steps before it
+    lowered the objective by more than ``_FALL_TOL``; no gradient follows
+    the last step itself, which must make the bound above,
+    ``log2 Z - (lambda - 1) p' . y - p . y``, nonnegative up to rounding.
+    A row that fails either check takes one plain step from where it
+    started instead.  So no block ascent ends below its start beyond
+    rounding, relaxed or not, though a relaxed step inside one may dip.
 
     A row's Frank–Wolfe gap ``max_a grad_a - p . grad`` at the incoming
     ``pa`` bounds what its block can still gain.  Rows in the boolean array
@@ -410,7 +415,8 @@ def _ascend_block(pa, ctx: _BlockContext, hold, steps: int):
     incoming rows.
     """
     grad = ctx.gradient(pa)
-    gap = grad.max(axis=1) - (pa * grad).sum(axis=1)
+    value = (pa * grad).sum(axis=1)  # the objective, less (alpha + beta) / ln 2
+    gap = grad.max(axis=1) - value
     best = np.argmax(grad, axis=1)
     low = np.nonzero(hold & (gap <= _GAP_TOL))[0]
     if len(low):
@@ -428,13 +434,36 @@ def _ascend_block(pa, ctx: _BlockContext, hold, steps: int):
     ba = move & (weight != 0.0)
     if not ba.any():
         return pa, gap
-    div = (np.where(ba, np.maximum(weight, _WEIGHT_FLOOR), np.inf) / ctx.step)[:, None]
+    lam = ctx.step
+    floor = np.where(ba, np.maximum(weight, _WEIGHT_FLOOR), np.inf)[:, None]
+    div = floor / lam[:, None]
+    if (starved & ba).any():
+        grad = ctx.gradient(pa)
+        value = (pa * grad).sum(axis=1)
     p, g = pa, grad
     for step in range(steps):
-        if step or (starved & ba).any():
+        if step:
             g = ctx.gradient(p)
-        p = p * np.exp2((g - g.max(axis=1, keepdims=True)) / div)
-        p = p / p.sum(axis=1, keepdims=True)
+        x = (g - g.max(axis=1, keepdims=True)) / div
+        last, p = p, p * np.exp2(x)
+        z = p.sum(axis=1)
+        p /= z[:, None]
+    relax = lam != 1.0
+    if relax.any():
+        # keep a relaxed ascent where the steps before the last did not lower
+        # the objective and the last step's ascent bound holds, both up to
+        # rounding; the bound is taken in x = lambda y, where it reads
+        # lambda / (alpha + beta) = 3 times the gain it bounds in bits
+        lift = (lam - 1.0) * np.vecdot(p, x) + np.vecdot(last, x)
+        fell = lam * np.log2(z) < lift - _FALL_TOL
+        if steps > 1:
+            fell |= np.vecdot(last, g) < value - _FALL_TOL
+        fell &= relax & ba
+        if fell.any():  # one plain step from where the row started
+            back = np.flatnonzero(fell)
+            x = (grad[back] - grad[back].max(axis=1, keepdims=True)) / floor[back]
+            p[back] = pa[back] * np.exp2(x)
+            p[back] /= p[back].sum(axis=1, keepdims=True)
     pa[ba] = p[ba]
     return pa, gap
 
@@ -494,8 +523,7 @@ def _alternate(pa, pb, ws: _Workspace, coeffs):
     long early steps do not solve a block (its gap stays far above
     ``_GAP_TOL``), but they pick which local optimum a row climbs; after
     them a long block solve is wasted work, since the other block moves at
-    once, and a short block step still never lowers the objective (at
-    ``mu = 1/2`` this is measured, not proved; see :func:`_ascend_block`).
+    once, and a short block step still never lowers the objective.
     A block is held only when its gap and the other block's last gap are
     both within ``_GAP_TOL`` (holding it sooner can strand mass that keeps
     the other block creeping); a row stops in the first sweep that holds
