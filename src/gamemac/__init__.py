@@ -30,7 +30,6 @@ from .channel import (
     Pentagon,
     ProductInput,
     compose,
-    entropy,
     load_mac_file,
     mac_from_game,
     pentagon,
@@ -45,7 +44,6 @@ from .games import (
     Game,
     GameFormatError,
     ProductStrategy,
-    PromisedGame,
     chsh_game,
     deterministic_strategy,
     hastad_game,

@@ -98,6 +98,14 @@ def _slack_gap(delta: float, e: float, w: float) -> float:
     return (delta + binary_entropy(e)) / (1.0 - e) - div
 
 
+def _omega(omega_u) -> float:
+    """``omega_u`` as a float strictly between 0 and 1; raises ValueError otherwise."""
+    w = float(omega_u)
+    if not 0.0 < w < 1.0:
+        raise ValueError(f"omega must lie strictly between 0 and 1, got {w!r}")
+    return w
+
+
 def solve_eps_star(delta: float, omega_u: float) -> float:
     """Solve ``(delta + h(e)) / (1 - e) = d(e || 1 - omega)`` for ``e``.
 
@@ -107,9 +115,7 @@ def solve_eps_star(delta: float, omega_u: float) -> float:
     there is no root (once ``delta`` reaches ``-log2(omega)``); the sum-rate
     bound there degenerates to the trivial ``log d``.
     """
-    w = float(omega_u)
-    if not 0.0 < w < 1.0:
-        raise ValueError(f"omega must lie strictly between 0 and 1, got {w!r}")
+    w = _omega(omega_u)
     if not delta >= 0.0:
         raise ValueError(f"delta must be nonnegative, got {delta!r}")
     if delta >= -math.log2(w):  # the gap at e = 0, delta + log2(w), is >= 0
@@ -157,15 +163,11 @@ def sum_rate_upper_bound(g: Game, omega_u) -> UpperBoundResult:
     ``eps``, and is solved by bisection to ``1e-12`` relative.
 
     Raises:
-        ValueError: If ``omega_u`` is 1 (no nontrivial bound exists) or
-            otherwise outside ``(0, 1)``, or if ``g`` has one question pair
-            (``d = 1``: every slack gives the bound 0).
+        ValueError: If ``omega_u``'s float is not strictly between 0 and 1
+            (at 1 no nontrivial bound exists), or if ``g`` has one question
+            pair (``d = 1``: every slack gives the bound 0).
     """
-    w = float(omega_u)
-    if w == 1.0:
-        raise ValueError("omega = 1: the game is perfectly winnable, no bound")
-    if not 0.0 < w < 1.0:
-        raise ValueError(f"omega must lie in (0, 1), got {w!r}")
+    w = _omega(omega_u)
     log_d = _log_dim(g)
     if log_d == 0.0:
         raise ValueError("a 1 x 1 game has sum rate 0: no bound to optimize")
@@ -180,9 +182,7 @@ def upper_bound_curve(g: Game, omega_u, points: int = 200) -> np.ndarray:
     subtracted slack vanishes, at the right end no positive loss floor can be
     certified), giving the characteristic dip-and-recover shape.
     """
-    w = float(omega_u)
-    if not 0.0 < w < 1.0:
-        raise ValueError(f"omega must lie in (0, 1), got {w!r}")
+    w = _omega(omega_u)
     log_d = _log_dim(g)
     deltas = np.linspace(0.0, -math.log2(w), points)
     eps = np.array([solve_eps_star(d, w) for d in deltas])
@@ -579,8 +579,10 @@ def _solve(n: Mac, mus: Sequence[float], seed: int, restarts: int):
     every ``restarts > r`` and every weight count.  Returns, row by row in
     that order, the senders' inputs ``pa`` and ``pb``, the pentagon rates
     from :func:`_rates` (one array pass for the whole batch) and the
-    optimizer's final gaps.
+    optimizer's final gaps.  Raises ValueError if ``restarts < 1``.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     x = np.concatenate([
         np.random.default_rng([seed, tag]).standard_exponential((restarts, n.na + n.nb))
         for tag in range(len(mus))
@@ -666,17 +668,10 @@ def inner_bound(
             so that existing callers keep working.
         mu_points: Number of weights on the scalarization grid (>= 1).
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     if mu_points < 1:
         raise ValueError("mu_points must be >= 1")
     pa, pb, rates, gaps = _solve(n, np.linspace(0.0, 1.0, mu_points), seed, restarts)
     r1, r2, s = rates.T
-    fits = (np.minimum(r1, r2) >= 0.0) & (np.maximum(r1, r2) <= s + 1e-12)
-    fits &= s <= r1 + r2 + 1e-9
-    if not fits.all():
-        row = np.argmin(fits)
-        raise ValueError(f"row {row}: pentagon rates need 0 <= r1, r2 <= sum <= r1 + r2")
     corners = np.stack([r1, np.maximum(s - r1, 0.0), np.maximum(s - r2, 0.0), r2], axis=1)
     tags, starts = np.divmod(np.arange(len(rates)).repeat(2), restarts)
     witnesses = tuple(map(
@@ -699,8 +694,6 @@ def sum_capacity_lower_bound(
     restart's input ``q``, and ``q``; any returned value is achievable, so it
     lower-bounds the sum capacity.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     pa, pb, rates, _ = _solve(n, [0.5], seed, restarts)
     best = int(np.argmax(rates[:, 2]))
     q = ProductInput(pa[best], pb[best])

@@ -27,6 +27,12 @@ from .games import (
 )
 
 
+# Rates (r1, r2, sum) times this matrix are r1 - sum, r2 - sum and
+# sum - r1 - r2; a pentagon has none of them above its rounding allowance.
+_PENTAGON_SIDES = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+_PENTAGON_SLACK = np.array([1e-12, 1e-12, 1e-9])
+
+
 class MacFormatError(ValueError):
     """Raised when a channel file does not follow the expected format."""
 
@@ -82,14 +88,6 @@ class Pentagon:
     r1_max: float
     r2_max: float
     sum_max: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.r1_max <= self.sum_max + 1e-12):
-            raise ValueError("need 0 <= r1_max <= sum_max")
-        if not (0.0 <= self.r2_max <= self.sum_max + 1e-12):
-            raise ValueError("need 0 <= r2_max <= sum_max")
-        if self.sum_max > self.r1_max + self.r2_max + 1e-9:
-            raise ValueError("sum_max exceeds r1_max + r2_max")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,19 +164,6 @@ def _row_entropies(p: np.ndarray) -> np.ndarray:
     return -(p * _log2(p)).sum(axis=-1)
 
 
-def entropy(p) -> float:
-    """Shannon entropy of a probability vector, in bits.
-
-    Raises ValueError for negative or nan entries or a non-normalized vector.
-    """
-    vec = np.asarray(p, dtype=float)
-    if not (vec >= 0).all():  # false for nan; an inf fails the sum test
-        raise ValueError("probabilities must be nonnegative, not nan")
-    if abs(vec.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {vec.sum()!r}, not 1")
-    return float(_row_entropies(vec.ravel()))
-
-
 class _Workspace:
     """Channel tables laid out for batched rate and optimizer work.
 
@@ -201,7 +186,9 @@ def _rates(ws: _Workspace, pa, pb):
     One ``(rows, 3)`` array, from the channel layouts of ``ws``:
     ``H(BZ) - H(B) - H(Z|AB)``, ``H(AZ) - H(A) - H(Z|AB)`` and
     ``H(Z) - H(Z|AB)`` with ``H(Z|AB) = sum_ab pa[a] pb[b] H(N(.|a, b))``,
-    each clamped at 0.
+    each clamped at 0.  If a row's rates break the pentagon inequalities
+    ``r1, r2 <= sum <= r1 + r2`` by more than rounding (1e-12 and 1e-9),
+    raises ValueError naming the first such row.
     """
     n = len(pa)
     h_cond = ((pa @ ws.rowent[0]) * pb).sum(axis=1)
@@ -213,7 +200,12 @@ def _rates(ws: _Workspace, pa, pb):
         _row_entropies(joint_az) - _row_entropies(pa) - h_cond,
         h_z - h_cond,
     ], axis=1)
-    return np.maximum(rates, 0.0)
+    rates = np.maximum(rates, 0.0)
+    fits = rates @ _PENTAGON_SIDES <= _PENTAGON_SLACK  # a nan rate fails
+    if not fits.all():
+        row = np.argmin(fits.all(axis=1))
+        raise ValueError(f"row {row}: pentagon rates need 0 <= r1, r2 <= sum <= r1 + r2")
+    return rates
 
 
 def pentagon(n: Mac, q: ProductInput) -> Pentagon:
@@ -223,7 +215,7 @@ def pentagon(n: Mac, q: ProductInput) -> Pentagon:
     and ``I(A,B;Z) = H(Z) - H(Z|AB)``, where
     ``H(Z|AB) = sum_ab p_a[a] p_b[b] H(N(.|a, b))``; values within
     floating-point noise below zero are clamped to exactly 0.  This is the
-    one-row case of :func:`_rates`.
+    one-row case of :func:`_rates`, its pentagon check included.
     """
     if len(q.p_a) != n.na or len(q.p_b) != n.nb:
         raise ValueError(

@@ -59,11 +59,7 @@ def _load_game(arg: str) -> games.Game:
 def _load_game_or_mac(arg: str) -> channel.Mac:
     if arg not in games.BUILTIN_GAMES and os.path.exists(arg):
         # the header is the first non-blank line, as both file loaders read it
-        try:
-            with open(arg, "r", encoding="utf-8") as fh:
-                kind = next(filter(None, map(str.split, fh)), [])[:1]
-        except UnicodeDecodeError:
-            raise ValueError(f"{arg}: not UTF-8 text") from None
+        kind = (games._text_lines(arg, ValueError) or [""])[0].split()[:1]
         if kind == ["mac"]:
             return channel.load_mac_file(arg)
         if kind != ["game"]:

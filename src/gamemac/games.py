@@ -2,10 +2,12 @@
 
 A game couples two players who each receive a question and return an answer
 without communicating; a boolean table decides which question/answer tuples
-win.  Games are stored promise-free: every question pair is allowed, and
-question pairs that were outside an original promise win automatically.
-The constructors build CHSH, the magic square, and the agreement games of
-binary linear systems and of 3-CNF formulas.
+win.  Games are stored promise-free: every question pair is allowed.  A game
+that is asked only on a promise, a boolean table of question pairs, becomes
+one through :func:`promise_free`: the pairs outside the promise win
+automatically.  The constructors build CHSH, the magic square, and the
+agreement games of binary linear systems and of 3-CNF formulas; the last two
+are promise games.
 """
 
 from __future__ import annotations
@@ -112,37 +114,6 @@ class Game:
 
 
 @dataclasses.dataclass(frozen=True)
-class PromisedGame:
-    """A game with a promise: only some question pairs are ever asked.
-
-    The win table is only meaningful on promised pairs and must be all-False
-    elsewhere; :func:`promise_free` converts the game to an equivalent
-    promise-free one.
-    """
-
-    nx1: int
-    nx2: int
-    ny1: int
-    ny2: int
-    win: np.ndarray
-    promise: np.ndarray
-
-    def __post_init__(self):
-        for name in ("nx1", "nx2", "ny1", "ny2"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        shape = (self.nx1, self.nx2, self.ny1, self.ny2)
-        object.__setattr__(self, "win", _frozen_bool(self.win, shape, "win table"))
-        object.__setattr__(
-            self, "promise", _frozen_bool(self.promise, shape[:2], "promise table")
-        )
-        if not self.promise.any():
-            raise ValueError("promise must contain at least one question pair")
-        if (self.win & ~self.promise[:, :, None, None]).any():
-            raise ValueError("win entries defined outside the promise")
-
-
-@dataclasses.dataclass(frozen=True)
 class ProductStrategy:
     """A pair of local stochastic answer rules with their question marginals.
 
@@ -196,24 +167,33 @@ class BruteForceResult:
     bob: tuple[int, ...]
 
 
-def promise_free(g: PromisedGame) -> Game:
-    """Convert a promised game into an equivalent promise-free game.
+def promise_free(g: Game, promise) -> Game:
+    """The promise-free game equivalent to ``g`` asked only on ``promise``.
 
-    Question pairs outside the promise become automatic wins for every answer
-    pair; promised pairs keep their win entries unchanged.  Applying the
-    conversion to an already promise-free game (full promise) is the identity.
+    ``promise`` is a boolean ``(nx1, nx2)`` table of the question pairs that
+    are ever asked; it must hold at least one pair, and ``g`` must win
+    nowhere outside it, else ValueError.  Question pairs outside the promise
+    become automatic wins for every answer pair; promised pairs keep their
+    win entries.  A full promise returns ``g``'s win table unchanged.
     """
-    win = g.win | ~g.promise[:, :, None, None]
-    return Game(g.nx1, g.nx2, g.ny1, g.ny2, win)
+    promise = _frozen_bool(promise, (g.nx1, g.nx2), "promise table")
+    outside = ~promise[:, :, None, None]
+    if not promise.any():
+        raise ValueError("promise must contain at least one question pair")
+    if (g.win & outside).any():
+        raise ValueError("win entries defined outside the promise")
+    return Game(g.nx1, g.nx2, g.ny1, g.ny2, g.win | outside)
 
 
-def _check_strategy_shape(g: Game, s: ProductStrategy) -> None:
-    if (s.nx1, s.ny1) != (g.nx1, g.ny1) or (s.nx2, s.ny2) != (g.nx2, g.ny2):
+def _check_strategy_shape(g: Game, s, pi_x1: np.ndarray, pi_x2: np.ndarray) -> None:
+    """Raise ValueError unless strategy ``s`` has ``g``'s alphabet sizes and
+    the question marginals, validated vectors, have ``g``'s question counts."""
+    if (s.nx1, s.nx2, s.ny1, s.ny2) != (g.nx1, g.nx2, g.ny1, g.ny2):
         raise ValueError(
             f"strategy alphabets ({s.nx1},{s.nx2},{s.ny1},{s.ny2}) do not match "
             f"game ({g.nx1},{g.nx2},{g.ny1},{g.ny2})"
         )
-    if len(s.pi_x1) != g.nx1 or len(s.pi_x2) != g.nx2:
+    if pi_x1.shape != (g.nx1,) or pi_x2.shape != (g.nx2,):
         raise ValueError("question marginal lengths do not match the game")
 
 
@@ -223,7 +203,7 @@ def winning_probability(g: Game, s: ProductStrategy) -> float:
     Computes sum over winning tuples of
     ``pi1(x1) pi2(x2) p(y1|x1) p(y2|x2)``.
     """
-    _check_strategy_shape(g, s)
+    _check_strategy_shape(g, s, s.pi_x1, s.pi_x2)
     val = np.einsum(
         "ijkl,i,j,ki,lj->",
         g.win,
@@ -392,7 +372,7 @@ def _agreement_game(scopes, answers, n_vars: int) -> Game:
         for y, bits in enumerate(ans):
             if bits is not None:
                 win[j, scope, y, bits] = True
-    return promise_free(PromisedGame(m, n_vars, ny1, 2, win, promise))
+    return promise_free(Game(m, n_vars, ny1, 2, win), promise)
 
 
 def hastad_game(clauses: Sequence[Sequence[int]], n_vars: int | None = None) -> Game:
@@ -510,7 +490,6 @@ def load_game_file(path) -> Game:
 
     promise = np.zeros((nx1, nx2), dtype=bool)
     win = np.zeros((nx1, nx2, ny1, ny2), dtype=bool)
-    has_promise = False
     seen_tuple = False
     for ln in lines[1:]:
         tok = ln.split()
@@ -526,7 +505,6 @@ def load_game_file(path) -> Game:
             if not (0 <= x1 < nx1 and 0 <= x2 < nx2):
                 raise GameFormatError(f"{path}: promise indices out of range in {ln!r}")
             promise[x1, x2] = True
-            has_promise = True
             continue
         if len(tok) != 4:
             raise GameFormatError(f"{path}: bad win tuple line {ln!r}")
@@ -539,8 +517,10 @@ def load_game_file(path) -> Game:
         win[x1, x2, y1, y2] = True
         seen_tuple = True
 
-    if not has_promise:
-        return Game(nx1, nx2, ny1, ny2, win)
-    if (win & ~promise[:, :, None, None]).any():
-        raise GameFormatError(f"{path}: win tuples outside the declared promise")
-    return promise_free(PromisedGame(nx1, nx2, ny1, ny2, win, promise))
+    g = Game(nx1, nx2, ny1, ny2, win)
+    if not promise.any():
+        return g
+    try:
+        return promise_free(g, promise)
+    except ValueError as exc:
+        raise GameFormatError(f"{path}: {exc}") from exc

@@ -24,8 +24,8 @@ import numpy as np
 
 from .channel import Encoding
 from .games import (
-    MAGIC_SQUARE_ALICE_ANSWERS, MAGIC_SQUARE_BOB_ANSWERS, Game, _frozen_distributions,
-    _index_table,
+    MAGIC_SQUARE_ALICE_ANSWERS, MAGIC_SQUARE_BOB_ANSWERS, Game, _check_strategy_shape,
+    _frozen_distributions, _index_table,
 )
 
 _NORM_TOL = 1e-10
@@ -254,15 +254,9 @@ def strategy_winning_probability(
 
     Each marginal must be a probability vector over the game's questions.
     """
-    if (qs.nx1, qs.nx2, qs.ny1, qs.ny2) != (g.nx1, g.nx2, g.ny1, g.ny2):
-        raise ValueError(
-            f"strategy alphabets ({qs.nx1},{qs.nx2},{qs.ny1},{qs.ny2}) do not "
-            f"match game ({g.nx1},{g.nx2},{g.ny1},{g.ny2})"
-        )
     pi1 = _frozen_distributions(pi_x1, 1, 0, 1e-12, "pi_x1")
     pi2 = _frozen_distributions(pi_x2, 1, 0, 1e-12, "pi_x2")
-    if pi1.shape != (g.nx1,) or pi2.shape != (g.nx2,):
-        raise ValueError("question marginal lengths do not match the game")
+    _check_strategy_shape(g, qs, pi1, pi2)
     corr = correlation(qs)
     val = np.einsum("ijkl,ijkl,i,j->", g.win, corr, pi1, pi2)  # one pass is optimal
     return float(min(max(val, 0.0), 1.0))

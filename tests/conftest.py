@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gamemac import Game, ProductStrategy, Povm, PureState, QuantumStrategy
+from gamemac import Game, Mac, ProductStrategy, Povm, PureState, QuantumStrategy
+from gamemac.channel import _Workspace
 
 
 def random_game(rng, max_size=3, win_density=0.5) -> Game:
@@ -31,6 +32,17 @@ def sparse_distributions(rng, rows, k) -> np.ndarray:
     point = rng.random(rows) < 0.3
     p[point] = np.eye(k)[rng.integers(0, k, point.sum())]
     return p / p.sum(axis=1, keepdims=True)
+
+
+def shifted_workspace(n: Mac) -> _Workspace:
+    """A workspace whose channel-row entropies are all 0.5 bit too high.
+
+    A constant shift of ``H(Z|AB)`` moves no optimum, but lowers all three
+    rates by 0.5, so ``sum > r1 + r2`` wherever both senders send a full bit.
+    """
+    ws = _Workspace(n)
+    ws.rowent = tuple(r + 0.5 for r in ws.rowent)
+    return ws
 
 
 def random_quantum_strategy(

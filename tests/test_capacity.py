@@ -1,6 +1,7 @@
 """Tests for sum-rate bounds, inner bounds, and linear-system game rates."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -38,7 +39,7 @@ from gamemac.capacity import (
     _Workspace,
 )
 from gamemac.channel import ProductInput
-from conftest import random_game, sparse_distributions
+from conftest import random_game, shifted_workspace, sparse_distributions
 
 LOG9 = math.log2(9)
 STEPS = capacity._BA_STEPS
@@ -220,6 +221,18 @@ class TestSumRateUpperBound:
         flips = np.count_nonzero(np.diff(signs) != 0)
         assert flips == 1  # unimodal: decreasing then increasing
         assert u.min() == pytest.approx(3.13694, abs=1e-3)
+
+
+@pytest.mark.parametrize("omega", [0, 1, Fraction(1, 1), -0.5, 1.5, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda w: solve_eps_star(0.01, w),
+    lambda w: sum_rate_upper_bound(magic_square_game(), w),
+    lambda w: upper_bound_curve(magic_square_game(), w),
+], ids=["solve_eps_star", "sum_rate_upper_bound", "upper_bound_curve"])
+def test_omega_outside_the_open_unit_interval_is_rejected(call, omega):
+    message = f"omega must lie strictly between 0 and 1, got {float(omega)!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(omega)
 
 
 def _block(seed, mu, transposed, rows=4):
@@ -915,13 +928,28 @@ class TestInnerBound:
             assert not x.flags.writeable
 
     def test_pentagon_inequalities_are_checked_on_every_row(self):
-        # rows whose rates no pentagon has (here sum > r1 + r2) are refused
+        # rows whose rates no pentagon has (here sum > r1 + r2) are refused,
+        # by the one check in _rates; the channel is noiseless, Z = (A, B)
+        n = mac_from_game(all_win_game())
+        pa = np.array([[1.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="row 1: pentagon rates"):
+            _rates(shifted_workspace(n), pa, pa)
+        with mock.patch.object(capacity, "_Workspace", shifted_workspace):
+            # at weight 0 the first sender's block has weight 0 and collapses
+            # to a point mass, so rows 0-1 keep r1 = 0 and pass, while the
+            # weight-1/2 rows reach the uniform inputs
+            with pytest.raises(ValueError, match="row 2: pentagon rates"):
+                inner_bound(n, restarts=2, mu_points=3)
+            with pytest.raises(ValueError, match="row 0: pentagon rates"):
+                sum_capacity_lower_bound(n, restarts=2)
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_must_be_positive(self, restarts):
         n = mac_from_game(chsh_game())
-        pa, pb, rates, gaps = capacity._solve(n, [0.0, 1.0], 0, 2)
-        rates[3, 2] = rates[3, 0] + rates[3, 1] + 1e-6
-        with mock.patch.object(capacity, "_solve", return_value=(pa, pb, rates, gaps)):
-            with pytest.raises(ValueError, match="row 3"):
-                inner_bound(n, restarts=2, mu_points=2)
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            inner_bound(n, restarts=restarts, mu_points=2)
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            sum_capacity_lower_bound(n, restarts=restarts)
 
     def test_vertices_form_monotone_chain(self):
         region = inner_bound(mac_from_game(chsh_game()), restarts=4, seed=0,

@@ -1,6 +1,7 @@
 """Tests for the game-to-channel compiler and entropic rate quantities."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from gamemac import (
     ProductInput,
     compose,
     deterministic_strategy,
-    entropy,
     identity_post,
     load_mac_file,
     losing_probability,
@@ -27,9 +27,11 @@ from gamemac import (
     to_classical_channel,
     write_mac_file,
 )
+from gamemac import channel
 from gamemac.games import Game, ProductStrategy
 from conftest import (
-    random_game, random_quantum_strategy, random_strategy, sparse_distributions
+    random_game, random_quantum_strategy, random_strategy, shifted_workspace,
+    sparse_distributions,
 )
 
 
@@ -45,6 +47,13 @@ def uniform_input(n: Mac) -> ProductInput:
     return ProductInput(np.full(n.na, 1.0 / n.na), np.full(n.nb, 1.0 / n.nb))
 
 
+def h(p) -> float:
+    """Shannon entropy in bits of the probabilities in ``p``, any shape."""
+    p = np.asarray(p)
+    p = p[p > 0.0]
+    return float(-(p * np.log2(p)).sum())
+
+
 def reference_pentagon(n: Mac, q: ProductInput) -> tuple[float, float, float]:
     """``(r1_max, r2_max, sum_max)`` from seven entropies of the joint p(a, b, z).
 
@@ -52,11 +61,6 @@ def reference_pentagon(n: Mac, q: ProductInput) -> tuple[float, float, float]:
     ``I(A,B;Z) = H(AB) + H(Z) - H(ABZ)``, each clamped at 0: a second route
     to the rates that shares no code with :func:`pentagon`.
     """
-
-    def h(p):
-        p = p[p > 0.0]
-        return float(-(p * np.log2(p)).sum())
-
     j = q.p_a[:, None, None] * q.p_b[None, :, None] * n.p
     h_abz, h_ab, h_az, h_bz = h(j), h(j.sum(axis=2)), h(j.sum(axis=1)), h(j.sum(axis=0))
     h_a, h_b, h_z = h(j.sum(axis=(1, 2))), h(j.sum(axis=(0, 2))), h(j.sum(axis=(0, 1)))
@@ -165,29 +169,6 @@ class TestCompose:
             compose(n, Encoding(3, 4, 3, 4, np.eye(12).reshape(3, 4, 3, 4)))
 
 
-class TestEntropy:
-    def test_point_mass(self):
-        assert entropy([1.0, 0.0, 0.0]) == 0.0
-
-    def test_uniform_nine(self):
-        assert entropy(np.full(9, 1.0 / 9.0)) == pytest.approx(
-            math.log2(9), abs=1e-12
-        )
-
-    def test_third_two_thirds(self):
-        expected = -(1 / 3) * math.log2(1 / 3) - (2 / 3) * math.log2(2 / 3)
-        assert expected == pytest.approx(0.9182958340544896, abs=1e-15)
-        assert entropy([1 / 3, 2 / 3]) == pytest.approx(expected, abs=1e-15)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            entropy([0.5, 0.6])
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            entropy([math.nan, 1.0])
-
-
 class TestPentagon:
     def test_noiseless_question_channel(self):
         # all-win game restricted to question inputs: Z = (A, B) exactly
@@ -205,7 +186,7 @@ class TestPentagon:
         pent = pentagon(n, uniform_input(n))
         j = uniform_input(n).p_a[:, None, None] * uniform_input(n).p_b[None, :, None]
         p_z = (j * n.p).sum(axis=(0, 1))
-        expected = entropy(p_z) - losing_probability(g, s) * math.log2(9)
+        expected = h(p_z) - losing_probability(g, s) * math.log2(9)
         assert pent.sum_max == pytest.approx(expected, abs=1e-10)
 
     def test_point_mass_input_kills_r1(self, rng):
@@ -237,14 +218,22 @@ class TestPentagon:
             )
             pent = pentagon(n, q)
             j = q.p_a[:, None, None] * q.p_b[None, :, None] * n.p
-            h_z = entropy(j.sum(axis=(0, 1)).ravel())
-            h_inputs = entropy(q.p_a) + entropy(q.p_b)
+            h_z = h(j.sum(axis=(0, 1)))
+            h_inputs = h(q.p_a) + h(q.p_b)
             assert pent.sum_max <= min(h_z, h_inputs) + 1e-10
 
     def test_dimension_mismatch(self):
         n = mac_from_game(all_win_game())
         with pytest.raises(ValueError):
             pentagon(n, ProductInput([0.5, 0.5], [0.5, 0.5]))
+
+    def test_rates_outside_the_pentagon_are_refused(self):
+        # on the noiseless Z = (A, B) channel the shifted rates are
+        # r1 = r2 = 0.5 and sum = 1.5 > r1 + r2
+        n = mac_from_game(all_win_game(2, 2, 1, 1))
+        with mock.patch.object(channel, "_Workspace", shifted_workspace):
+            with pytest.raises(ValueError, match="row 0: pentagon rates"):
+                pentagon(n, uniform_input(n))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1))

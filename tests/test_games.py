@@ -13,7 +13,6 @@ from gamemac import (
     Game,
     GameFormatError,
     ProductStrategy,
-    PromisedGame,
     chsh_game,
     deterministic_strategy,
     hastad_game,
@@ -64,22 +63,20 @@ def brute_force_oracle(g: Game) -> BruteForceResult:
 class TestPromiseFree:
     def test_full_promise_is_identity(self):
         g = chsh_game()
-        promised = PromisedGame(2, 2, 2, 2, g.win, np.ones((2, 2), dtype=bool))
-        assert np.array_equal(promise_free(promised).win, g.win)
+        assert np.array_equal(promise_free(g, np.ones((2, 2), dtype=bool)).win, g.win)
 
     def test_excluded_pair_wins_automatically(self):
         promise = np.ones((2, 2), dtype=bool)
         promise[1, 1] = False
         win = np.zeros((2, 2, 2, 2), dtype=bool)
-        g = promise_free(PromisedGame(2, 2, 2, 2, win, promise))
+        g = promise_free(Game(2, 2, 2, 2, win), promise)
         assert g.win[1, 1].all()
         assert not g.win[0, 0].any()
 
     def test_idempotent(self, rng):
         for _ in range(20):
             g = random_game(rng)
-            full = np.ones((g.nx1, g.nx2), dtype=bool)
-            again = promise_free(PromisedGame(g.nx1, g.nx2, g.ny1, g.ny2, g.win, full))
+            again = promise_free(g, np.ones((g.nx1, g.nx2), dtype=bool))
             assert np.array_equal(again.win, g.win)
 
     def test_never_decreases_winning_probability(self, rng):
@@ -88,12 +85,11 @@ class TestPromiseFree:
             s = random_strategy(rng, g)
             promise = rng.random((g.nx1, g.nx2)) < 0.7
             promise[0, 0] = True
-            restricted = g.win & promise[:, :, None, None]
-            converted = promise_free(
-                PromisedGame(g.nx1, g.nx2, g.ny1, g.ny2, restricted, promise)
-            )
+            win = g.win & promise[:, :, None, None]
+            restricted = Game(g.nx1, g.nx2, g.ny1, g.ny2, win)
+            converted = promise_free(restricted, promise)
             assert winning_probability(converted, s) >= winning_probability(
-                Game(g.nx1, g.nx2, g.ny1, g.ny2, restricted), s
+                restricted, s
             ) - 1e-15
 
     def test_win_outside_promise_rejected(self):
@@ -101,14 +97,19 @@ class TestPromiseFree:
         promise[0, 0] = True
         win = np.zeros((2, 2, 2, 2), dtype=bool)
         win[1, 1, 0, 0] = True
-        with pytest.raises(ValueError):
-            PromisedGame(2, 2, 2, 2, win, promise)
+        with pytest.raises(ValueError, match="win entries defined outside the promise"):
+            promise_free(Game(2, 2, 2, 2, win), promise)
 
     def test_empty_promise_rejected(self):
-        with pytest.raises(ValueError):
-            PromisedGame(
-                2, 2, 2, 2, np.zeros((2, 2, 2, 2), bool), np.zeros((2, 2), bool)
-            )
+        g = Game(2, 2, 2, 2, np.zeros((2, 2, 2, 2), bool))
+        with pytest.raises(ValueError, match="at least one question pair"):
+            promise_free(g, np.zeros((2, 2), bool))
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (3, 2), (2, 2, 1)])
+    def test_promise_of_the_wrong_shape_rejected(self, shape):
+        g = Game(2, 2, 2, 2, np.zeros((2, 2, 2, 2), bool))
+        with pytest.raises(ValueError, match=r"promise table has shape .*expected \(2, 2\)"):
+            promise_free(g, np.ones(shape, bool))
 
 
 class TestWinningProbability:
@@ -144,8 +145,14 @@ class TestWinningProbability:
     def test_dimension_mismatch_rejected(self, rng):
         g = chsh_game()
         bigger = random_strategy(rng, all_win_game(3, 2, 2, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strategy alphabets"):
             winning_probability(g, bigger)
+
+    def test_marginal_lengths_must_match(self):
+        g = chsh_game()
+        s = ProductStrategy(np.full((2, 2), 0.5), np.full((2, 2), 0.5), [1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="question marginal lengths"):
+            winning_probability(g, s)
 
     def test_marginals_required(self):
         with pytest.raises(TypeError):
@@ -482,8 +489,10 @@ class TestGameFile:
             load_game_file(self.write(tmp_path, "game 2 2 2 2\n0 0 0 5\n"))
 
     def test_win_outside_promise(self, tmp_path):
-        with pytest.raises(GameFormatError):
-            load_game_file(self.write(tmp_path, "game 2 2 2 2\npromise 0 0\n1 1 0 0\n"))
+        path = self.write(tmp_path, "game 2 2 2 2\npromise 0 0\n1 1 0 0\n")
+        with pytest.raises(GameFormatError) as err:
+            load_game_file(path)
+        assert str(err.value) == f"{path}: win entries defined outside the promise"
 
     def test_promise_after_tuples(self, tmp_path):
         with pytest.raises(GameFormatError):

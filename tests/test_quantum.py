@@ -259,17 +259,23 @@ class TestStrategyWinningProbability:
 
     def test_alphabet_mismatch_rejected(self, rng):
         qs = random_strategy(rng, 2, 2, 3, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strategy alphabets"):
             strategy_winning_probability(chsh_game(), qs, [0.5, 0.5], [0.5, 0.5])
+
+    def test_marginal_lengths_must_match(self):
+        g, qs = magic_square_game(), magic_square_strategy()
+        uniform = np.full(3, 1 / 3)
+        with pytest.raises(ValueError, match="question marginal lengths"):
+            strategy_winning_probability(g, qs, [0.5, 0.5], uniform)
 
     @pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [1.0, 1.0, 1.0]])
     def test_marginals_must_be_distributions(self, bad):
         # a nan marginal gave a nan value, and [1, 1, 1] on both sides gave 1.0
         g, qs = magic_square_game(), magic_square_strategy()
         uniform = np.full(3, 1 / 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pi_x1 entries"):
             strategy_winning_probability(g, qs, bad, uniform)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pi_x2 entries"):
             strategy_winning_probability(g, qs, uniform, bad)
 
 
