@@ -23,7 +23,7 @@ import dataclasses
 import numpy as np
 
 from .games import (
-    Game, ProductStrategy, _frozen_distributions, _text_lines, losing_probability,
+    Game, ProductStrategy, _frozen_distributions, _table_file, losing_probability,
 )
 
 
@@ -142,15 +142,18 @@ def compose(n: Mac, e: Encoding) -> Mac:
     """The end-to-end channel obtained by feeding an encoding into a MAC.
 
     ``(N o E)(z | a1, b1) = sum_{a,b} N(z | a, b) E(a, b | a1, b1)``.
-    Composing with the encoding that passes both raw inputs through
-    unchanged returns the channel table bit for bit.
+    The encoding's rows are first scaled to sum to 1: an ``Encoding`` allows
+    them 1e-10 of slack, a ``Mac`` only 1e-12.  Composing with the encoding
+    that passes both raw inputs through unchanged returns the channel table
+    bit for bit.
     """
     if (e.na, e.nb) != (n.na, n.nb):
         raise ValueError(
             f"encoding outputs ({e.na}, {e.nb}) do not match channel inputs "
             f"({n.na}, {n.nb})"
         )
-    p = e.p.reshape(e.n_a1 * e.n_b1, n.na * n.nb) @ n.p.reshape(n.na * n.nb, n.nz)
+    rows = e.p.reshape(e.n_a1 * e.n_b1, n.na * n.nb)
+    p = (rows / rows.sum(axis=1, keepdims=True)) @ n.p.reshape(n.na * n.nb, n.nz)
     return Mac(e.n_a1, e.n_b1, n.nz, p.reshape(e.n_a1, e.n_b1, n.nz))
 
 
@@ -283,37 +286,25 @@ def load_mac_file(path) -> Mac:
     and for a table that is not a channel (non-finite, negative or
     unnormalized entries).
     """
-    lines = _text_lines(path, MacFormatError)
-    if not lines:
-        raise MacFormatError(f"{path}: empty channel file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "mac":
-        raise MacFormatError(f"{path}: expected header 'mac na nb nz'")
-    try:
-        na, nb, nz = (int(tok) for tok in head[1:])
-    except ValueError as exc:
-        raise MacFormatError(f"{path}: non-integer alphabet size") from exc
-    if min(na, nb, nz) < 1:
-        raise MacFormatError(f"{path}: alphabet sizes must be >= 1")
-    rows = lines[1:]
+    (na, nb, nz), rows = _table_file(path, MacFormatError, "mac na nb nz", "channel")
     if len(rows) != na * nb:
         raise MacFormatError(
             f"{path}: expected {na * nb} probability rows, found {len(rows)}"
         )
-    index = {ln: i for i, ln in enumerate(dict.fromkeys(rows))}
-    try:
-        table = np.array([list(map(float, ln.split())) for ln in index])
-    except ValueError:  # a non-number, or rows of different lengths
-        table = None
-    if table is None or table.shape != (len(index), nz):
-        for i, ln in enumerate(rows):  # name the first bad row
-            tok = ln.split()
-            if len(tok) != nz:
-                raise MacFormatError(f"{path}: row {i} has {len(tok)} entries, expected {nz}")
-            try:
-                list(map(float, tok))
-            except ValueError as exc:
-                raise MacFormatError(f"{path}: non-numeric entry in row {i}") from exc
+    # distinct rows in first-appearance order: the first bad one is the first bad row
+    index = dict.fromkeys(rows)
+    table = np.empty((len(index), nz))
+    for k, ln in enumerate(index):
+        tok = ln.split()
+        if len(tok) != nz:
+            raise MacFormatError(
+                f"{path}: row {rows.index(ln)} has {len(tok)} entries, expected {nz}"
+            )
+        try:
+            table[k] = list(map(float, tok))
+        except ValueError as exc:
+            raise MacFormatError(f"{path}: non-numeric entry in row {rows.index(ln)}") from exc
+        index[ln] = k
     p = table[np.fromiter(map(index.__getitem__, rows), np.intp, len(rows))]
     try:
         return Mac(na, nb, nz, p.reshape(na, nb, nz))

@@ -169,19 +169,21 @@ def _cmd_lsg_rates(args) -> int:
 def _parser() -> argparse.ArgumentParser:
     # Built once: parse_args keeps no state on the parser, and building it
     # costs more than most commands.
-    threads = os.cpu_count() or 1
     parser = argparse.ArgumentParser(
         prog="gamemac",
         description="Analyze multiple access channels built from two-player games.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("omega", help="exact classical value under uniform questions")
-    p.add_argument("game", help="builtin name (magicsquare, chsh) or game file")
-    p.add_argument(
+    brute = argparse.ArgumentParser(add_help=False)  # the brute force's options
+    brute.add_argument(
         "--budget", type=_positive_int, default=games.DEFAULT_ENUMERATION_BUDGET
     )
-    p.add_argument("--threads", type=_positive_int, default=threads)
+    brute.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
+
+    p = sub.add_parser(
+        "omega", parents=[brute], help="exact classical value under uniform questions"
+    )
+    p.add_argument("game", help="builtin name (magicsquare, chsh) or game file")
     p.set_defaults(func=_cmd_omega)
 
     p = sub.add_parser("quantum-verify", help="check a built-in quantum strategy")
@@ -195,14 +197,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_quantum_verify)
 
-    p = sub.add_parser("sumrate-bound", help="analytic sum-rate upper bound")
+    p = sub.add_parser(
+        "sumrate-bound", parents=[brute], help="analytic sum-rate upper bound"
+    )
     p.add_argument("game", help="builtin name or game file")
     p.add_argument("--omega", help="classical value as a fraction, e.g. 8/9")
     p.add_argument("--curve", help="write the bound-vs-slack table to this file")
-    p.add_argument(
-        "--budget", type=_positive_int, default=games.DEFAULT_ENUMERATION_BUDGET
-    )
-    p.add_argument("--threads", type=_positive_int, default=threads)
     p.set_defaults(func=_cmd_sumrate_bound)
 
     p = sub.add_parser("region", help="inner bound on the capacity region")

@@ -121,7 +121,8 @@ class ProductStrategy:
         p_y1_given_x1: Stochastic matrix of shape ``(ny1, nx1)``; column ``x1``
             is Alice's answer distribution for question ``x1``.
         p_y2_given_x2: Same for Bob, shape ``(ny2, nx2)``.
-        pi_x1, pi_x2: Question marginals (probability vectors).
+        pi_x1, pi_x2: Question marginals, probability vectors of lengths
+            ``nx1`` and ``nx2``.
     """
 
     p_y1_given_x1: np.ndarray
@@ -134,6 +135,8 @@ class ProductStrategy:
         for name, ndim in ndims.items():
             table = _frozen_distributions(getattr(self, name), ndim, 0, 1e-12, name)
             object.__setattr__(self, name, table)
+        if self.pi_x1.shape != (self.nx1,) or self.pi_x2.shape != (self.nx2,):
+            raise ValueError("question marginal lengths do not match the answer tables")
 
     @property
     def ny1(self) -> int:
@@ -467,6 +470,37 @@ def _text_lines(path, error: type[ValueError]) -> list[str]:
         raise error(f"{path}: not UTF-8 text") from None
 
 
+def _table_file(path, error: type[ValueError], header: str, what: str):
+    """The sizes on a text file's ``header`` line (integers >= 1) and the lines
+    below it; raises ``error`` naming ``path`` for a missing or malformed header."""
+    lines = _text_lines(path, error)
+    if not lines:
+        raise error(f"{path}: empty {what} file")
+    head, names = lines[0].split(), header.split()
+    if len(head) != len(names) or head[0] != names[0]:
+        raise error(f"{path}: expected header '{header}'")
+    try:
+        sizes = [int(tok) for tok in head[1:]]
+    except ValueError as exc:
+        raise error(f"{path}: non-integer alphabet size") from exc
+    if min(sizes) < 1:
+        raise error(f"{path}: alphabet sizes must be >= 1")
+    return sizes, lines[1:]
+
+
+def _index_line(path, ln: str, tok: list[str], shape, kind: str) -> tuple[int, ...]:
+    """The integers ``tok`` of line ``ln``, each in range of its axis of ``shape``."""
+    if len(tok) != len(shape):
+        raise GameFormatError(f"{path}: bad {kind} line {ln!r}")
+    try:
+        idx = tuple(int(t) for t in tok)
+    except ValueError as exc:
+        raise GameFormatError(f"{path}: bad {kind} line {ln!r}") from exc
+    if not all(0 <= i < n for i, n in zip(idx, shape)):
+        raise GameFormatError(f"{path}: {kind} indices out of range in {ln!r}")
+    return idx
+
+
 def load_game_file(path) -> Game:
     """Load a game from its text format, applying promise-free conversion.
 
@@ -475,49 +509,21 @@ def load_game_file(path) -> Game:
     per winning tuple (0-based indices).  Absent tuples lose; question pairs
     outside a listed promise win automatically.
     """
-    lines = _text_lines(path, GameFormatError)
-    if not lines:
-        raise GameFormatError(f"{path}: empty game file")
-    head = lines[0].split()
-    if len(head) != 5 or head[0] != "game":
-        raise GameFormatError(f"{path}: expected header 'game nx1 nx2 ny1 ny2'")
-    try:
-        nx1, nx2, ny1, ny2 = (int(tok) for tok in head[1:])
-    except ValueError as exc:
-        raise GameFormatError(f"{path}: non-integer alphabet size") from exc
-    if min(nx1, nx2, ny1, ny2) < 1:
-        raise GameFormatError(f"{path}: alphabet sizes must be >= 1")
-
-    promise = np.zeros((nx1, nx2), dtype=bool)
-    win = np.zeros((nx1, nx2, ny1, ny2), dtype=bool)
+    sizes, body = _table_file(path, GameFormatError, "game nx1 nx2 ny1 ny2", "game")
+    win = np.zeros(sizes, dtype=bool)
+    promise = np.zeros(sizes[:2], dtype=bool)
     seen_tuple = False
-    for ln in lines[1:]:
+    for ln in body:
         tok = ln.split()
-        if tok[0] == "promise":
-            if seen_tuple:
-                raise GameFormatError(f"{path}: promise lines must precede win tuples")
-            if len(tok) != 3:
-                raise GameFormatError(f"{path}: bad promise line {ln!r}")
-            try:
-                x1, x2 = int(tok[1]), int(tok[2])
-            except ValueError as exc:
-                raise GameFormatError(f"{path}: bad promise line {ln!r}") from exc
-            if not (0 <= x1 < nx1 and 0 <= x2 < nx2):
-                raise GameFormatError(f"{path}: promise indices out of range in {ln!r}")
-            promise[x1, x2] = True
-            continue
-        if len(tok) != 4:
-            raise GameFormatError(f"{path}: bad win tuple line {ln!r}")
-        try:
-            x1, x2, y1, y2 = (int(t) for t in tok)
-        except ValueError as exc:
-            raise GameFormatError(f"{path}: bad win tuple line {ln!r}") from exc
-        if not (0 <= x1 < nx1 and 0 <= x2 < nx2 and 0 <= y1 < ny1 and 0 <= y2 < ny2):
-            raise GameFormatError(f"{path}: indices out of range in {ln!r}")
-        win[x1, x2, y1, y2] = True
-        seen_tuple = True
+        if tok[0] != "promise":
+            win[_index_line(path, ln, tok, win.shape, "win tuple")] = True
+            seen_tuple = True
+        elif seen_tuple:
+            raise GameFormatError(f"{path}: promise lines must precede win tuples")
+        else:
+            promise[_index_line(path, ln, tok[1:], promise.shape, "promise")] = True
 
-    g = Game(nx1, nx2, ny1, ny2, win)
+    g = Game(*sizes, win)
     if not promise.any():
         return g
     try:

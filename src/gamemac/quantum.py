@@ -131,18 +131,14 @@ class QuantumStrategy:
         object.__setattr__(self, "bob_povms", tuple(bob_povms))
         if not self.alice_povms or not self.bob_povms:
             raise ValueError("each player needs at least one POVM")
-        ny1 = self.alice_povms[0].n_outcomes
-        ny2 = self.bob_povms[0].n_outcomes
-        for p in self.alice_povms:
-            if p.dim != state.d_a:
-                raise ValueError("Alice POVM dimension does not match the state")
-            if p.n_outcomes != ny1:
-                raise ValueError("Alice POVMs must share one outcome alphabet")
-        for p in self.bob_povms:
-            if p.dim != state.d_b:
-                raise ValueError("Bob POVM dimension does not match the state")
-            if p.n_outcomes != ny2:
-                raise ValueError("Bob POVMs must share one outcome alphabet")
+        for name, povms, dim in (
+            ("Alice", self.alice_povms, state.d_a), ("Bob", self.bob_povms, state.d_b)
+        ):
+            for p in povms:
+                if p.dim != dim:
+                    raise ValueError(f"{name} POVM dimension does not match the state")
+                if p.n_outcomes != povms[0].n_outcomes:
+                    raise ValueError(f"{name} POVMs must share one outcome alphabet")
 
     @property
     def nx1(self) -> int:

@@ -4,6 +4,7 @@ Each test is one criterion; a conftest hook prints one pass/fail line per
 criterion.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import itertools
 import math
 import re
 import time
@@ -16,6 +17,8 @@ from gamemac import (
     chsh_game,
     compose,
     correlation,
+    deterministic_strategy,
+    hastad_game,
     identity_post,
     lsg_rates,
     mac_from_game,
@@ -23,6 +26,7 @@ from gamemac import (
     magic_square_strategy,
     omega_uniform_bruteforce,
     pentagon,
+    strategy_input,
     sum_capacity_lower_bound,
     sum_rate_identity_check,
     sum_rate_upper_bound,
@@ -183,3 +187,26 @@ def test_criterion_9_ordering_sanity():
     assert lower == pytest.approx(2.84195, abs=5e-3)
     assert upper == pytest.approx(3.13694, abs=1e-4)
     assert LOG9 == pytest.approx(3.16993, abs=1e-5)
+
+
+def test_criterion_10_capacity_decides_3sat():
+    """The 3-SAT game of a satisfiable formula reaches log d; an unsatisfiable
+    one has omega < 1 and an analytic bound below log d."""
+    sat = hastad_game([(1, 2, 3), (-1, 2, 4), (1, -3, -4)])
+    result = omega_uniform_bruteforce(sat)
+    assert (sat.nx1, sat.nx2, result.value) == (3, 4, 1)
+    n = mac_from_game(sat)
+    witness = strategy_input(deterministic_strategy(sat, result.alice, result.bob))
+    assert pentagon(n, witness).sum_max == pytest.approx(math.log2(12), abs=1e-12)
+    lower, _ = sum_capacity_lower_bound(n, 64, 0)
+    assert lower == pytest.approx(math.log2(12), abs=1e-9)
+
+    all_signs = itertools.product((1, -1), repeat=3)
+    unsat = hastad_game([(s1, 2 * s2, 3 * s3) for s1, s2, s3 in all_signs])
+    omega = omega_uniform_bruteforce(unsat).value
+    assert (unsat.nx1, unsat.nx2, omega) == (8, 3, Fraction(23, 24))
+    upper = sum_rate_upper_bound(unsat, omega).bound
+    lower, _ = sum_capacity_lower_bound(mac_from_game(unsat), 64, 0)
+    assert lower < upper < math.log2(24)
+    assert upper == pytest.approx(4.570620, abs=1e-6)
+    assert lower == pytest.approx(4.437785, abs=1e-6)

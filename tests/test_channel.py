@@ -1,5 +1,6 @@
 """Tests for the game-to-channel compiler and entropic rate quantities."""
 
+import hashlib
 import math
 from unittest import mock
 
@@ -12,6 +13,7 @@ from gamemac import (
     Mac,
     MacFormatError,
     ProductInput,
+    chsh_game,
     compose,
     deterministic_strategy,
     identity_post,
@@ -163,6 +165,25 @@ class TestCompose:
         total = compose(n, enc)
         assert np.abs(total.p - 0.25).max() < 1e-12
 
+    def test_encoding_rows_within_its_tolerance_are_accepted(self):
+        """An encoding row off by 5e-11 is valid, so the composition is a channel."""
+        n = mac_from_game(chsh_game())
+        near = np.eye(16).reshape(4, 4, 4, 4)
+        near[0, 0, 0, 0] += 5e-11
+        total = compose(n, Encoding(4, 4, 4, 4, near))
+        assert np.abs(total.p - n.p).max() < 1e-10
+        assert (total.p[1:] == n.p[1:]).all()
+
+    def test_magic_square_entangled_channel_bytes(self):
+        n = mac_from_game(magic_square_game())
+        enc = to_classical_channel(
+            magic_square_strategy(), identity_post(3, 4), identity_post(3, 4), 12, 12
+        )
+        total = compose(n, enc)
+        assert hashlib.sha256(total.p.tobytes()).hexdigest()[:12] == "7de2c42cc329"
+        uniform = ProductInput(np.full(3, 1 / 3), np.full(3, 1 / 3))
+        assert pentagon(total, uniform).sum_max == 3.169925001442312
+
     def test_alphabet_mismatch_rejected(self):
         n = mac_from_game(all_win_game())
         with pytest.raises(ValueError):
@@ -288,6 +309,17 @@ class TestStrategyInput:
         with pytest.raises(TypeError):
             ProductStrategy(np.full((2, 2), 0.5), np.full((2, 2), 0.5))
 
+    @pytest.mark.parametrize("short", [[1.0], [0.5, 0.5]], ids=["length_1", "length_2"])
+    def test_marginal_of_wrong_length_is_refused(self, short):
+        """A marginal shorter than its 3 questions is refused when the strategy
+        is built, before strategy_input or sum_rate_identity_check broadcast it."""
+        s = uniform_strategy(all_win_game(3, 3))
+        match = "^question marginal lengths do not match"
+        with pytest.raises(ValueError, match=match):
+            ProductStrategy(s.p_y1_given_x1, s.p_y2_given_x2, short, s.pi_x2)
+        with pytest.raises(ValueError, match=match):
+            ProductStrategy(s.p_y1_given_x1, s.p_y2_given_x2, s.pi_x1, short)
+
 
 def reference_mac_text(n: Mac) -> str:
     """The channel file, formatted one entry at a time."""
@@ -377,6 +409,9 @@ class TestMacFile:
             # the first bad row is named, whatever is wrong with later ones
             ("mac 3 1 2\n1 0\n0.5 x\n1\n", "non-numeric entry in row 1"),
             ("mac 3 1 2\n1 0\n1\n0.5 x\n", "row 1 has 1 entries, expected 2"),
+            # a bad row repeated after a repeated good row is named where it first appears
+            ("mac 4 1 2\n1 0\n1 0\n0.5 x\n0.5 x\n", "non-numeric entry in row 2"),
+            ("mac 4 1 2\n1 0\n1 0\n1\n1\n", "row 2 has 1 entries, expected 2"),
             ("mac 1 1 2\nnan nan\n", "finite"),
             ("mac 1 1 2\nnan 1\n", "finite"),
             ("mac 1 1 2\ninf 0\n", "finite"),

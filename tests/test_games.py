@@ -149,10 +149,8 @@ class TestWinningProbability:
             winning_probability(g, bigger)
 
     def test_marginal_lengths_must_match(self):
-        g = chsh_game()
-        s = ProductStrategy(np.full((2, 2), 0.5), np.full((2, 2), 0.5), [1.0], [0.5, 0.5])
         with pytest.raises(ValueError, match="question marginal lengths"):
-            winning_probability(g, s)
+            ProductStrategy(np.full((2, 2), 0.5), np.full((2, 2), 0.5), [1.0], [0.5, 0.5])
 
     def test_marginals_required(self):
         with pytest.raises(TypeError):
@@ -497,3 +495,32 @@ class TestGameFile:
     def test_promise_after_tuples(self, tmp_path):
         with pytest.raises(GameFormatError):
             load_game_file(self.write(tmp_path, "game 2 2 2 2\n0 0 0 0\npromise 0 0\n"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty game file"),
+            ("\n  \n", "empty game file"),
+            ("match 2 2 2 2\n", "expected header 'game nx1 nx2 ny1 ny2'"),
+            ("game 2 2 2\n", "expected header 'game nx1 nx2 ny1 ny2'"),
+            ("game 2 x 2 2\n", "non-integer alphabet size"),
+            ("game 2 2 0 2\n", "alphabet sizes must be >= 1"),
+            ("game 2 2 2 2\npromise 0\n", "bad promise line 'promise 0'"),
+            ("game 2 2 2 2\npromise 0 0 1\n", "bad promise line 'promise 0 0 1'"),
+            ("game 2 2 2 2\npromise 0 a\n", "bad promise line 'promise 0 a'"),
+            ("game 2 2 2 2\npromise 0 2\n", "promise indices out of range in 'promise 0 2'"),
+            ("game 2 2 2 2\npromise -1 0\n", "promise indices out of range in 'promise -1 0'"),
+            ("game 2 2 2 2\n0 0 0 0\npromise 0 0\n", "promise lines must precede win tuples"),
+            ("game 2 2 2 2\n0 0 0\n", "bad win tuple line '0 0 0'"),
+            ("game 2 2 2 2\n0 0 0 x\n", "bad win tuple line '0 0 0 x'"),
+            ("game 2 2 2 2\n0 0 0 5\n", "win tuple indices out of range in '0 0 0 5'"),
+            ("game 2 2 2 2\n2 0 0 0\n", "win tuple indices out of range in '2 0 0 0'"),
+            # lines are checked in file order: the first bad one is named
+            ("game 2 2 2 2\n0 0 0 9\n0 0 x\n", "win tuple indices out of range in '0 0 0 9'"),
+        ],
+    )
+    def test_malformed_file(self, tmp_path, text, message):
+        path = self.write(tmp_path, text)
+        with pytest.raises(GameFormatError) as err:
+            load_game_file(path)
+        assert str(err.value) == f"{path}: {message}"

@@ -1,5 +1,7 @@
 """Tests for quantum strategies, POVM validation, and induced correlations."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,6 +122,27 @@ class TestValidation:
                 [computational_povm(2), constant_answer_povm(2, 3, 0)],
                 [computational_povm(2)],
             )
+
+    @pytest.mark.parametrize(
+        "alice, bob, message",
+        [
+            ([], [(2, 2)], "each player needs at least one POVM"),
+            ([(2, 2)], [], "each player needs at least one POVM"),
+            ([(2, 2), (3, 2)], [(2, 2)], "Alice POVM dimension does not match the state"),
+            ([(2, 2)], [(2, 2), (3, 2)], "Bob POVM dimension does not match the state"),
+            ([(2, 2), (2, 3)], [(2, 2)], "Alice POVMs must share one outcome alphabet"),
+            ([(2, 2)], [(2, 2), (2, 3)], "Bob POVMs must share one outcome alphabet"),
+            # Alice's POVMs are checked first, each for dimension then outcomes
+            ([(2, 2), (2, 3)], [(3, 2)], "Alice POVMs must share one outcome alphabet"),
+            ([(2, 2), (3, 3)], [(2, 2)], "Alice POVM dimension does not match the state"),
+        ],
+    )
+    def test_strategy_rejections(self, alice, bob, message):
+        """``(d, k)`` stands for a constant-answer POVM of dimension d with k outcomes."""
+        state = PureState(np.array([1, 0, 0, 0], dtype=complex), 2, 2)
+        povms = [[constant_answer_povm(d, k, 0) for d, k in side] for side in (alice, bob)]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            QuantumStrategy(state, *povms)
 
 
 class TestCorrelation:
