@@ -590,7 +590,7 @@ def _solve(n: Mac, mus: Sequence[float], seed: int, restarts: int):
     pa, pb = x[:, : n.na], x[:, n.na :]
     pa, pb = pa / pa.sum(axis=1, keepdims=True), pb / pb.sum(axis=1, keepdims=True)
     coeffs = _vertex_coeffs(np.repeat(np.asarray(mus, dtype=float), restarts))
-    ws = _Workspace(n)
+    ws = _Workspace(n.p)
     pa, pb, gap = _alternate(pa, pb, ws, coeffs)
     return pa, pb, _rates(ws, pa, pb), gap
 

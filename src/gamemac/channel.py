@@ -7,7 +7,8 @@ winning question/answer tuple the channel forwards the question pair
 noiselessly, otherwise it outputs a uniformly random question pair.
 
 The pentagon rates at a product input have one formula, :func:`_rates`, over
-a batch of input pairs; :func:`pentagon` is its one-row case, and the
+a batch of input pairs; :func:`pentagon` is its one-row case on the channel
+rows that the input reaches (exact, as zero mass adds no entropy), and the
 optimizer in :mod:`gamemac.capacity` runs it on whole batches.
 
 Index conventions (shared with :mod:`gamemac.games`): a sender's composite
@@ -128,13 +129,9 @@ def mac_from_game(g: Game) -> Mac:
     nz = g.nx1 * g.nx2
     p = np.full((na, nb, nz), 1.0 / nz)
     win = g.win.transpose(0, 2, 1, 3).reshape(na, nb)  # rows: (x1,y1) x (x2,y2)
-    x1 = np.arange(na) // g.ny1
-    x2 = np.arange(nb) // g.ny2
-    z = (x1[:, None] * g.nx2 + x2[None, :])[win]
-    rows = p[win]
-    rows[:] = 0.0
-    rows[np.arange(len(z)), z] = 1.0
-    p[win] = rows
+    a, b = np.nonzero(win)
+    p[a, b] = 0.0
+    p[a, b, (a // g.ny1) * g.nx2 + b // g.ny2] = 1.0
     return Mac(na, nb, nz, p)
 
 
@@ -168,18 +165,18 @@ def _row_entropies(p: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """Channel tables laid out for batched rate and optimizer work.
+    """A checked channel table ``p[a, b, z]`` laid out for batched rate and optimizer work.
 
     Index 0 is the first sender's view and index 1 the second's: ``flat[s]``
     has one row per input of sender ``s``, over (other input, output) pairs,
     and ``rowent[s][own, other]`` is the entropy of that channel row.
     """
 
-    def __init__(self, n: Mac):
-        chan_t = np.ascontiguousarray(n.p.transpose(1, 0, 2))
-        rowent = _row_entropies(n.p)
-        self.nz = n.nz
-        self.flat = (n.p.reshape(n.na, -1), chan_t.reshape(n.nb, -1))
+    def __init__(self, p: np.ndarray):
+        na, nb, self.nz = p.shape
+        chan_t = np.ascontiguousarray(p.transpose(1, 0, 2))
+        rowent = _row_entropies(p)
+        self.flat = (p.reshape(na, -1), chan_t.reshape(nb, -1))
         self.rowent = (rowent, np.ascontiguousarray(rowent.T))
 
 
@@ -211,6 +208,19 @@ def _rates(ws: _Workspace, pa, pb):
     return rates
 
 
+def _on_support(n: Mac, q: ProductInput):
+    """The channel rows that ``q`` reaches and ``q`` on those rows."""
+    if len(q.p_a) != n.na or len(q.p_b) != n.nb:
+        raise ValueError(
+            f"input distribution sizes ({len(q.p_a)}, {len(q.p_b)}) do not "
+            f"match channel inputs ({n.na}, {n.nb})"
+        )
+    a, b = q.p_a.nonzero()[0], q.p_b.nonzero()[0]
+    if len(a) == n.na and len(b) == n.nb:  # no copy of a channel it reaches whole
+        return n.p, q.p_a, q.p_b
+    return n.p[a[:, None], b], q.p_a[a], q.p_b[b]
+
+
 def pentagon(n: Mac, q: ProductInput) -> Pentagon:
     """Evaluate the three rate bounds of a MAC at a fixed product input.
 
@@ -218,14 +228,13 @@ def pentagon(n: Mac, q: ProductInput) -> Pentagon:
     and ``I(A,B;Z) = H(Z) - H(Z|AB)``, where
     ``H(Z|AB) = sum_ab p_a[a] p_b[b] H(N(.|a, b))``; values within
     floating-point noise below zero are clamped to exactly 0.  This is the
-    one-row case of :func:`_rates`, its pentagon check included.
+    one-row case of :func:`_rates`, its pentagon check included, on the rows
+    ``n.p[supp(p_a)][:, supp(p_b)]`` that ``q`` reaches.  That is exact, since
+    a symbol of zero mass adds nothing to any entropy above, and the cost
+    grows with the input's support, not with the channel.
     """
-    if len(q.p_a) != n.na or len(q.p_b) != n.nb:
-        raise ValueError(
-            f"input distribution sizes ({len(q.p_a)}, {len(q.p_b)}) do not "
-            f"match channel inputs ({n.na}, {n.nb})"
-        )
-    return Pentagon(*_rates(_Workspace(n), q.p_a[None], q.p_b[None])[0].tolist())
+    p, p_a, p_b = _on_support(n, q)
+    return Pentagon(*_rates(_Workspace(p), p_a[None], p_b[None])[0].tolist())
 
 
 def strategy_input(s: ProductStrategy) -> ProductInput:
@@ -245,13 +254,15 @@ def sum_rate_identity_check(g: Game, s: ProductStrategy) -> tuple[float, float]:
     Returns ``(lhs, rhs)`` where ``lhs = I(A,B;Z)`` is the :func:`pentagon`
     sum rate on the compiled channel, while
     ``rhs = H(Z) - p_lose * (log2 nx1 + log2 nx2)`` uses the losing
-    probability of the strategy.  The two agree identically because losing
-    rounds contribute exactly the full output entropy.
+    probability of the strategy, with ``H(Z)`` taken on the channel rows that
+    the strategy reaches.  The two agree identically because losing rounds
+    contribute exactly the full output entropy.
     """
     n = mac_from_game(g)
     q = strategy_input(s)
     lhs = pentagon(n, q).sum_max
-    p_z = q.p_b @ (q.p_a @ n.p.reshape(n.na, -1)).reshape(n.nb, n.nz)
+    p, p_a, p_b = _on_support(n, q)
+    p_z = p_b @ (p_a @ p.reshape(len(p_a), -1)).reshape(len(p_b), n.nz)
     h_z = float(_row_entropies(p_z))
     p_l = losing_probability(g, s)
     rhs = h_z - p_l * (np.log2(g.nx1) + np.log2(g.nx2))

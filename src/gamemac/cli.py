@@ -59,7 +59,7 @@ def _load_game(arg: str) -> games.Game:
 def _load_game_or_mac(arg: str) -> channel.Mac:
     if arg not in games.BUILTIN_GAMES and os.path.exists(arg):
         # the header is the first non-blank line, as both file loaders read it
-        kind = (games._text_lines(arg, ValueError) or [""])[0].split()[:1]
+        kind = (games._text_lines(arg, ValueError, 1) or [""])[0].split()[:1]
         if kind == ["mac"]:
             return channel.load_mac_file(arg)
         if kind != ["game"]:

@@ -188,16 +188,13 @@ def promise_free(g: Game, promise) -> Game:
     return Game(g.nx1, g.nx2, g.ny1, g.ny2, g.win | outside)
 
 
-def _check_strategy_shape(g: Game, s, pi_x1: np.ndarray, pi_x2: np.ndarray) -> None:
-    """Raise ValueError unless strategy ``s`` has ``g``'s alphabet sizes and
-    the question marginals, validated vectors, have ``g``'s question counts."""
+def _check_strategy_shape(g: Game, s) -> None:
+    """Raise ValueError unless strategy ``s`` has ``g``'s alphabet sizes."""
     if (s.nx1, s.nx2, s.ny1, s.ny2) != (g.nx1, g.nx2, g.ny1, g.ny2):
         raise ValueError(
             f"strategy alphabets ({s.nx1},{s.nx2},{s.ny1},{s.ny2}) do not match "
             f"game ({g.nx1},{g.nx2},{g.ny1},{g.ny2})"
         )
-    if pi_x1.shape != (g.nx1,) or pi_x2.shape != (g.nx2,):
-        raise ValueError("question marginal lengths do not match the game")
 
 
 def winning_probability(g: Game, s: ProductStrategy) -> float:
@@ -206,7 +203,7 @@ def winning_probability(g: Game, s: ProductStrategy) -> float:
     Computes sum over winning tuples of
     ``pi1(x1) pi2(x2) p(y1|x1) p(y2|x2)``.
     """
-    _check_strategy_shape(g, s, s.pi_x1, s.pi_x2)
+    _check_strategy_shape(g, s)
     val = np.einsum(
         "ijkl,i,j,ki,lj->",
         g.win,
@@ -461,11 +458,12 @@ BUILTIN_GAMES = {
 }
 
 
-def _text_lines(path, error: type[ValueError]) -> list[str]:
-    """The stripped non-blank lines of a UTF-8 file; raises ``error`` otherwise."""
+def _text_lines(path, error: type[ValueError], limit: int | None = None) -> list[str]:
+    """The stripped non-blank lines of a UTF-8 file, the first ``limit`` of
+    them if given (reading no further); raises ``error`` if not UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return [ln for ln in map(str.strip, fh) if ln]
+            return list(itertools.islice(filter(None, map(str.strip, fh)), limit))
     except UnicodeDecodeError:
         raise error(f"{path}: not UTF-8 text") from None
 

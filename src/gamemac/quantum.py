@@ -156,6 +156,30 @@ class QuantumStrategy:
     def ny2(self) -> int:
         return self.bob_povms[0].n_outcomes
 
+    @functools.cached_property
+    def _correlation(self) -> np.ndarray:
+        # kept only once the table passes its checks, so a bad one raises each time
+        psi = self.state.as_matrix()  # (d_a, d_b)
+        alice = np.stack([p.elements for p in self.alice_povms])  # (nx1, ny1, d_a, d_a)
+        bob = np.stack([p.elements for p in self.bob_povms])  # (nx2, ny2, d_b, d_b)
+        # left[x, p, j, l] = sum_ik conj(psi[i, j]) L[x, p, i, k] psi[k, l]
+        left = psi.conj().T @ alice @ psi
+        vals = left.reshape(self.nx1 * self.ny1, -1) @ bob.reshape(self.nx2 * self.ny2, -1).T
+        vals = vals.reshape(self.nx1, self.ny1, self.nx2, self.ny2).transpose(0, 2, 1, 3)
+        residue = np.abs(vals.imag).max()
+        if residue > _IMAG_TOL:
+            raise ValueError(f"correlation entry has imaginary residue {residue!r}")
+        if vals.real.min() < -_IMAG_TOL:
+            raise ValueError(f"correlation entry is negative: {vals.real.min()!r}")
+        table = np.maximum(vals.real, 0.0)
+        sums = table.sum(axis=(2, 3))
+        off = np.argwhere(np.abs(sums - 1.0) > _SUM_TOL)
+        if len(off):
+            x1, x2 = off[0]
+            raise ValueError(f"correlation slice ({x1}, {x2}) sums to {sums[x1, x2]!r}")
+        table.setflags(write=False)
+        return table
+
 
 def correlation(qs: QuantumStrategy) -> np.ndarray:
     """Joint outcome distribution ``P[x1, x2, y1, y2] = P(y1, y2 | x1, x2)``.
@@ -163,27 +187,10 @@ def correlation(qs: QuantumStrategy) -> np.ndarray:
     Each entry is ``<psi| L^(x1)_y1 (x) M^(x2)_y2 |psi>``; the Born rule makes
     these real and nonnegative, so any imaginary residue beyond ``1e-10``
     raises and small negative noise is clamped to 0.  Each ``(x1, x2)`` slice
-    sums to 1 within ``1e-10``.
+    sums to 1 within ``1e-10``.  The table is computed once per strategy, on
+    the first call whose table passes these checks, and is read-only.
     """
-    psi = qs.state.as_matrix()  # (d_a, d_b)
-    alice = np.stack([p.elements for p in qs.alice_povms])  # (nx1, ny1, d_a, d_a)
-    bob = np.stack([p.elements for p in qs.bob_povms])  # (nx2, ny2, d_b, d_b)
-    # left[x, p, j, l] = sum_ik conj(psi[i, j]) L[x, p, i, k] psi[k, l]
-    left = psi.conj().T @ alice @ psi
-    vals = left.reshape(qs.nx1 * qs.ny1, -1) @ bob.reshape(qs.nx2 * qs.ny2, -1).T
-    vals = vals.reshape(qs.nx1, qs.ny1, qs.nx2, qs.ny2).transpose(0, 2, 1, 3)
-    residue = np.abs(vals.imag).max()
-    if residue > _IMAG_TOL:
-        raise ValueError(f"correlation entry has imaginary residue {residue!r}")
-    if vals.real.min() < -_IMAG_TOL:
-        raise ValueError(f"correlation entry is negative: {vals.real.min()!r}")
-    table = np.maximum(vals.real, 0.0)
-    sums = table.sum(axis=(2, 3))
-    off = np.argwhere(np.abs(sums - 1.0) > _SUM_TOL)
-    if len(off):
-        x1, x2 = off[0]
-        raise ValueError(f"correlation slice ({x1}, {x2}) sums to {sums[x1, x2]!r}")
-    return table
+    return qs._correlation
 
 
 _PAULIS = {
@@ -252,7 +259,9 @@ def strategy_winning_probability(
     """
     pi1 = _frozen_distributions(pi_x1, 1, 0, 1e-12, "pi_x1")
     pi2 = _frozen_distributions(pi_x2, 1, 0, 1e-12, "pi_x2")
-    _check_strategy_shape(g, qs, pi1, pi2)
+    _check_strategy_shape(g, qs)
+    if pi1.shape != (g.nx1,) or pi2.shape != (g.nx2,):
+        raise ValueError("question marginal lengths do not match the game")
     corr = correlation(qs)
     val = np.einsum("ijkl,ijkl,i,j->", g.win, corr, pi1, pi2)  # one pass is optimal
     return float(min(max(val, 0.0), 1.0))

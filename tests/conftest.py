@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gamemac import Game, Mac, ProductStrategy, Povm, PureState, QuantumStrategy
+from gamemac import Game, ProductStrategy, Povm, PureState, QuantumStrategy
 from gamemac.channel import _Workspace
 
 
@@ -34,13 +34,13 @@ def sparse_distributions(rng, rows, k) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def shifted_workspace(n: Mac) -> _Workspace:
-    """A workspace whose channel-row entropies are all 0.5 bit too high.
+def shifted_workspace(p: np.ndarray) -> _Workspace:
+    """A workspace on channel table ``p`` whose row entropies are all 0.5 bit too high.
 
     A constant shift of ``H(Z|AB)`` moves no optimum, but lowers all three
     rates by 0.5, so ``sum > r1 + r2`` wherever both senders send a full bit.
     """
-    ws = _Workspace(n)
+    ws = _Workspace(p)
     ws.rowent = tuple(r + 0.5 for r in ws.rowent)
     return ws
 

@@ -245,7 +245,7 @@ def _block(seed, mu, transposed, rows=4):
     """
     rng = np.random.default_rng(seed)
     n = mac_from_game(random_game(rng, max_size=3))
-    ws = _Workspace(n)
+    ws = _Workspace(n.p)
     coeffs = _vertex_coeffs(np.full(rows, mu))
     pa = rng.dirichlet(np.ones(n.na), size=rows)
     pb = rng.dirichlet(np.ones(n.nb), size=rows)
@@ -323,7 +323,7 @@ class TestOptimizerInternals:
         # peaked row's step fails the ascent bound and is taken plain; the
         # near-uniform row keeps the relaxed step
         n = Mac(3, 1, 3, np.eye(3)[:, None, :])
-        ctx = _BlockContext(np.ones((2, 1)), _Workspace(n), _vertex_coeffs(np.full(2, 0.5)))
+        ctx = _BlockContext(np.ones((2, 1)), _Workspace(n.p), _vertex_coeffs(np.full(2, 0.5)))
         p = np.array([[0.5, 0.499, 0.001], [0.34, 0.33, 0.33]])
         over = p**-0.5 / (p**-0.5).sum(axis=1, keepdims=True)
         assert ctx.objective(over)[0] < ctx.objective(p)[0] - 0.1
@@ -338,7 +338,7 @@ class TestOptimizerInternals:
         # step from its start instead, which lands on the optimum, and no
         # gradient is taken after the last step
         n = Mac(3, 1, 3, np.eye(3)[:, None, :])
-        ctx = _BlockContext(np.ones((1, 1)), _Workspace(n), _vertex_coeffs(np.array([0.5])))
+        ctx = _BlockContext(np.ones((1, 1)), _Workspace(n.p), _vertex_coeffs(np.array([0.5])))
         calls = []
 
         def gradient(pa):
@@ -367,7 +367,7 @@ class TestOptimizerInternals:
         pa = 0.5 * rng.dirichlet(np.ones(n.na), size=3) + 0.5 / n.na
         pb = 0.5 * rng.dirichlet(np.ones(n.nb), size=3) + 0.5 / n.nb
         own, other = (pb, pa) if transposed else (pa, pb)
-        ctx = _BlockContext(other, _Workspace(n), _vertex_coeffs(mus), transposed)
+        ctx = _BlockContext(other, _Workspace(n.p), _vertex_coeffs(mus), transposed)
         g = ctx.gradient(own)
         out, _ = _ascend_block(own.copy(), ctx, np.zeros(3, dtype=bool), steps=1)
 
@@ -447,7 +447,7 @@ class TestOptimizerInternals:
         # nonzero; every row must read the gradient of a batch of its own
         rng = np.random.default_rng(seed)
         n = mac_from_game(random_game(rng, max_size=3))
-        ws = _Workspace(n)
+        ws = _Workspace(n.p)
         mus = rng.permutation([0.0, 0.5, 1.0, *mus])
         pa = rng.dirichlet(np.ones(n.na), size=len(mus))
         pb = rng.dirichlet(np.ones(n.nb), size=len(mus))
@@ -471,7 +471,7 @@ class TestOptimizerInternals:
         # batch's block; inputs at zero mass give it blind inputs to find
         rng = np.random.default_rng(seed)
         n = mac_from_game(random_game(rng, max_size=3))
-        ws = _Workspace(n)
+        ws = _Workspace(n.p)
         mus = rng.permutation([0.0, 0.5, 1.0, *mus])
         coeffs = _vertex_coeffs(mus)
         pa = sparse_distributions(rng, len(mus), n.na)
@@ -490,7 +490,7 @@ class TestOptimizerInternals:
         mus = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
         pa = rng.dirichlet(np.ones(n.na), size=len(mus))
         pb = rng.dirichlet(np.ones(n.nb), size=len(mus))
-        ctx = _BlockContext(pb, _Workspace(n), _vertex_coeffs(mus))
+        ctx = _BlockContext(pb, _Workspace(n.p), _vertex_coeffs(mus))
         grad = ctx.gradient(pa)
         held = grad.copy()
         moved = rng.dirichlet(np.ones(n.na), size=len(mus))
@@ -502,7 +502,7 @@ class TestOptimizerInternals:
     def test_gradient_matches_finite_differences(self, rng):
         g = random_game(rng, max_size=3)
         n = mac_from_game(g)
-        ws = _Workspace(n)
+        ws = _Workspace(n.p)
         for coeffs in [(1, 0, 0, 1), (0.25, 0, 0.5, 0.75), (0.3, 0.4, 0, 0.7)]:
             pa = rng.dirichlet(np.ones(n.na), size=3)
             pb = rng.dirichlet(np.ones(n.nb), size=3)
@@ -522,7 +522,7 @@ class TestOptimizerInternals:
         # the transposed block, with its coefficients swapped, is the same function
         g = random_game(rng, max_size=3)
         n = mac_from_game(g)
-        ws = _Workspace(n)
+        ws = _Workspace(n.p)
         coeffs = [np.full(4, c) for c in (0.3, 0.45, 0.0, 0.75)]
         pa = rng.dirichlet(np.ones(n.na), size=4)
         pb = rng.dirichlet(np.ones(n.nb), size=4)
@@ -545,7 +545,7 @@ class TestGapCertificate:
         # the reported gap is the larger block gap at the witness itself
         rng = np.random.default_rng(seed)
         n = mac_from_game(random_game(rng, max_size=3))
-        ws = _Workspace(n)
+        ws = _Workspace(n.p)
         mus = np.linspace(0.0, 1.0, 5)
         region = inner_bound(n, restarts=restarts, seed=seed, mu_points=5)
         assert any(w.gap <= capacity._GAP_TOL for w in region.witnesses)
@@ -576,7 +576,7 @@ class TestGapCertificate:
         nz = na * nb
         chan = np.full((na, nb, nz), 0.1 / nz)
         chan[np.arange(na)[:, None], np.arange(nb), np.arange(nz).reshape(na, nb)] += 0.9
-        ws = _Workspace(Mac(na, nb, nz, chan))
+        ws = _Workspace(Mac(na, nb, nz, chan).p)
         rng = np.random.default_rng(seed)
         pa = rng.dirichlet(np.ones(na), size=1)
         pa[0, 0] = 0.0
@@ -595,7 +595,7 @@ class TestGapCertificate:
         # probability 0 and only input 0 reaches them, so its true slope is
         # +inf, through H(Z) at mu = 0.5 and H(Z|B) at mu = 1; with log2 0
         # taken as 0 it reads finite, and the start (0.5) looked certified
-        ws = _Workspace(Mac(2, 2, 4, np.eye(4).reshape(2, 2, 4)))
+        ws = _Workspace(Mac(2, 2, 4, np.eye(4).reshape(2, 2, 4)).p)
         coeffs = _vertex_coeffs(np.array([mu]))
         pa, pb = np.array([[0.0, 1.0]]), np.array([[0.5, 0.5]])
         ctx = _BlockContext(pb, ws, coeffs)
@@ -620,7 +620,7 @@ class TestExtrapolation:
         # sweeps without the jump (the state the jump starts from)
         rng = np.random.default_rng(seed)
         n = mac_from_game(random_game(rng, max_size=3))
-        ws, na, nb = _Workspace(n), n.na, n.nb
+        ws, na, nb = _Workspace(n.p), n.na, n.nb
         coeffs = _vertex_coeffs(np.array(mus))
         pa = rng.dirichlet(np.ones(na), size=len(mus))
         pb = rng.dirichlet(np.ones(nb), size=len(mus))
@@ -707,7 +707,7 @@ class TestBatchedSolve:
         # the batch with other weights or is solved alone
         rng = np.random.default_rng(seed)
         n = mac_from_game(random_game(rng, max_size=3))
-        ws, na, nb = _Workspace(n), n.na, n.nb
+        ws, na, nb = _Workspace(n.p), n.na, n.nb
         mus = np.repeat([0.0, 0.25, 0.5, 0.75, 1.0], restarts)
         pa = rng.dirichlet(np.ones(na), size=len(mus))
         pb = rng.dirichlet(np.ones(nb), size=len(mus))
@@ -748,7 +748,7 @@ class TestBatchedSolve:
             return ascend(pa, ctx, hold, count)
 
         with mock.patch.object(capacity, "_ascend_block", spy):
-            _alternate(pa, pb, _Workspace(n), _vertex_coeffs(np.linspace(0.0, 1.0, 10)))
+            _alternate(pa, pb, _Workspace(n.p), _vertex_coeffs(np.linspace(0.0, 1.0, 10)))
         assert len(steps) > 4
         assert steps == [20] * 4 + [5] * (len(steps) - 4)
 
@@ -785,10 +785,10 @@ class TestBatchedRates:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6))
     def test_rates_match_pentagon_row_by_row(self, seed, rows):
-        # pentagon is _rates on one row, so a row of a batch must agree with
-        # the row alone; inputs at zero mass in every row, and a last row of
-        # point masses, which on a winning pair reaches one output and leaves
-        # the rest at 0
+        # pentagon is _rates on one row, taken on that row's support, so a row
+        # of a batch must agree with the row alone; inputs at zero mass in
+        # every row, and a last row of point masses, which on a winning pair
+        # reaches one output and leaves the rest at 0
         rng = np.random.default_rng(seed)
         n = mac_from_game(random_game(rng, max_size=3))
         pa = rng.dirichlet(np.ones(n.na), size=rows)
@@ -798,12 +798,29 @@ class TestBatchedRates:
             p[np.arange(rows), rng.integers(0, p.shape[1], rows)] += 0.5
             p[-1] = np.eye(p.shape[1])[rng.integers(0, p.shape[1])]
             p /= p.sum(axis=1, keepdims=True)
-        rates = _rates(_Workspace(n), pa, pb)
+        rates = _rates(_Workspace(n.p), pa, pb)
         assert rates.shape == (rows, 3) and (rates >= 0.0).all()
         for r in range(rows):
             pent = pentagon(n, ProductInput(pa[r], pb[r]))
             expect = [pent.r1_max, pent.r2_max, pent.sum_max]
             assert np.abs(rates[r] - expect).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), game=st.booleans())
+    def test_full_support_pentagon_is_the_whole_channel_row(self, seed, game):
+        # an input that reaches every channel row takes no sub-channel, so
+        # pentagon returns the bits of _rates on the whole channel
+        rng = np.random.default_rng(seed)
+        if game:
+            n = mac_from_game(random_game(rng, max_size=3))
+        else:
+            na, nb, nz = (int(k) for k in rng.integers(1, 7, size=3))
+            n = Mac(na, nb, nz, rng.dirichlet(np.ones(nz), size=(na, nb)))
+        q = ProductInput(rng.dirichlet(np.ones(n.na)), rng.dirichlet(np.ones(n.nb)))
+        assume(q.p_a.all() and q.p_b.all())
+        row = _rates(_Workspace(n.p), q.p_a[None], q.p_b[None])[0]
+        pent = pentagon(n, q)
+        assert [pent.r1_max, pent.r2_max, pent.sum_max] == row.tolist()
 
 
 _COORD = st.floats(0.0, 4.0)
@@ -933,7 +950,7 @@ class TestInnerBound:
         n = mac_from_game(all_win_game())
         pa = np.array([[1.0, 0.0], [0.5, 0.5]])
         with pytest.raises(ValueError, match="row 1: pentagon rates"):
-            _rates(shifted_workspace(n), pa, pa)
+            _rates(shifted_workspace(n.p), pa, pa)
         with mock.patch.object(capacity, "_Workspace", shifted_workspace):
             # at weight 0 the first sender's block has weight 0 and collapses
             # to a point mass, so rows 0-1 keep r1 = 0 and pass, while the

@@ -16,6 +16,7 @@ from gamemac import (
     chsh_game,
     compose,
     deterministic_strategy,
+    hastad_game,
     identity_post,
     load_mac_file,
     losing_probability,
@@ -73,6 +74,17 @@ def reference_pentagon(n: Mac, q: ProductInput) -> tuple[float, float, float]:
     )
 
 
+def looped_game_channel(g: Game) -> np.ndarray:
+    """The table of ``mac_from_game(g)``, one winning row at a time."""
+    nz = g.nx1 * g.nx2
+    p = np.full((g.nx1 * g.ny1, g.nx2 * g.ny2, nz), 1.0 / nz)
+    for x1, x2, y1, y2 in zip(*np.nonzero(g.win)):
+        row = p[x1 * g.ny1 + y1, x2 * g.ny2 + y2]
+        row[:] = 0.0
+        row[x1 * g.nx2 + x2] = 1.0
+    return p
+
+
 def uniform_strategy(g: Game) -> ProductStrategy:
     return ProductStrategy(
         np.full((g.ny1, g.nx1), 1.0 / g.ny1),
@@ -126,6 +138,14 @@ class TestMacFromGame:
         losing = n.p.max(axis=2) < 1.0
         assert losing.any()
         assert (n.p[losing] == 1.0 / 9.0).all()  # bit-exact uniform rows
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    def test_matches_row_by_row_reference(self, seed, density):
+        g = random_game(np.random.default_rng(seed), max_size=4, win_density=density)
+        n = mac_from_game(g)
+        ref = looped_game_channel(g)
+        assert n.p.shape == ref.shape and n.p.tobytes() == ref.tobytes()
 
     def test_all_lose_has_zero_capacity(self):
         n = mac_from_game(all_lose_game())
@@ -292,6 +312,26 @@ class TestSumRateIdentity:
             s = random_strategy(rng, g)
             lhs, rhs = sum_rate_identity_check(g, s)
             assert abs(lhs - rhs) < 1e-10
+
+    def test_3sat_certificate_on_a_large_channel(self):
+        # a satisfiable 10-variable, 30-clause formula: a 240 x 20 -> 300
+        # channel, whose deterministic certificate reaches 30 x 10 of its rows
+        rng = np.random.default_rng(1)
+        clauses = [
+            tuple(((rng.choice(10, 3, replace=False) + 1) * rng.choice([-1, 1], 3)).tolist())
+            for _ in range(30)
+        ]
+        g = hastad_game(clauses, 10)
+        best = omega_uniform_bruteforce(g)
+        assert best.value == 1
+        n = mac_from_game(g)
+        assert (n.na, n.nb, n.nz) == (240, 20, 300)
+        s = deterministic_strategy(g, best.alice, best.bob)
+        rate = pentagon(n, strategy_input(s)).sum_max
+        assert rate == pytest.approx(math.log2(300), abs=1e-12)
+        lhs, rhs = sum_rate_identity_check(g, s)
+        assert lhs == rate
+        assert rhs == pytest.approx(lhs, abs=1e-10)
 
 
 class TestStrategyInput:

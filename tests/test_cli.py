@@ -332,6 +332,18 @@ class TestExitCodes:
                 "",
             ),
             (
+                "region {tmp}/empty.mac --restarts 1",
+                2,
+                "{tmp}/empty.mac: expected a 'game' or 'mac' header",
+                "",
+            ),
+            (
+                "region {tmp}/blank.game --restarts 1",
+                2,
+                "{tmp}/blank.game: expected a 'game' or 'mac' header",
+                "",
+            ),
+            (
                 "region {tmp}/nan.mac --restarts 1",
                 2,
                 "{tmp}/nan.mac: channel table entries must be finite and "
@@ -343,6 +355,12 @@ class TestExitCodes:
                 "region {tmp}/latin1.game --restarts 1",
                 2,
                 "{tmp}/latin1.game: not UTF-8 text",
+                "",
+            ),
+            (
+                "region {tmp}/latin1.mac --restarts 1",
+                2,
+                "{tmp}/latin1.mac: not UTF-8 text",
                 "",
             ),
             (
@@ -422,6 +440,11 @@ class TestExitCodes:
         write_game(tmp_path, "game 12 12 3 3\n", name="big.game")  # 3^12 tables
         write_game(tmp_path, "game 2 2 2 2\n", name="lose.game")  # no winning tuple
         (tmp_path / "latin1.game").write_bytes(b"\xff\xfe")
+        # the bad byte lies past the header, beyond the first block a reader decodes
+        padded = b"mac 1 1 2\n" + b"\n" * 9000 + b"0.5 0.5\xff\n"
+        (tmp_path / "latin1.mac").write_bytes(padded)
+        write_game(tmp_path, "", name="empty.mac")
+        write_game(tmp_path, "\n  \n", name="blank.game")
         got = run(*(tok.format(tmp=tmp_path) for tok in argv.split()))
         assert got == (code, out, f"error: {err.format(tmp=tmp_path)}\n")
 

@@ -1,6 +1,7 @@
 """Tests for quantum strategies, POVM validation, and induced correlations."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from gamemac import (
     to_classical_channel,
     winning_probability,
 )
+from gamemac import quantum
 from gamemac.quantum import _MERMIN_PERES
 from conftest import random_quantum_strategy as random_strategy
 
@@ -170,6 +172,23 @@ class TestCorrelation:
         corr = correlation(magic_square_strategy())
         assert corr[~g.win].max() < 1e-12
 
+    def test_computed_once_and_read_only(self, rng):
+        qs = random_strategy(rng, 2, 3, 2, 4)
+        corr = correlation(qs)
+        assert correlation(qs) is corr
+        assert not corr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            corr[0, 0, 0, 0] = 1.0
+
+    def test_a_refused_table_is_not_kept(self, rng):
+        # with no slice sum allowed, every call checks the table again and raises
+        qs = random_strategy(rng, 2, 2, 2, 2)
+        with mock.patch.object(quantum, "_SUM_TOL", -1.0):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=r"correlation slice \(0, 0\)"):
+                    correlation(qs)
+        assert np.abs(correlation(qs).sum(axis=(2, 3)) - 1.0).max() < 1e-10
+
     def test_slices_normalized(self, rng):
         corr = correlation(random_strategy(rng, 2, 3, 2, 4))
         assert np.abs(corr.sum(axis=(2, 3)) - 1.0).max() < 1e-10
@@ -290,6 +309,9 @@ class TestStrategyWinningProbability:
         uniform = np.full(3, 1 / 3)
         with pytest.raises(ValueError, match="question marginal lengths"):
             strategy_winning_probability(g, qs, [0.5, 0.5], uniform)
+        message = "^question marginal lengths do not match the game$"
+        with pytest.raises(ValueError, match=message):
+            strategy_winning_probability(g, qs, uniform, np.full(4, 1 / 4))
 
     @pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [1.0, 1.0, 1.0]])
     def test_marginals_must_be_distributions(self, bad):
